@@ -1,97 +1,48 @@
 """Proximal bounded augmented Lagrangian solvers for structured
-constrained optimization, with a QPS reader and benchmark tooling."""
+constrained optimization, with a QPS reader and benchmark tooling.
 
-from .auglag import (
-    KktReport,
-    Multipliers,
-    PenaltyState,
-    compute_E,
-    eval_al,
-    eval_lagrangian,
-    eval_pal,
-    grad_al,
-    grad_pal,
-    kkt_report,
-    natural_residual,
-)
-from .inner import InnerConfig, InnerResult, solve_subproblem
+The top level exports the user-facing API; the building blocks (penalty
+and multiplier updates, augmented-Lagrangian evaluations, the inner
+solver) stay importable from their own modules.
+"""
+
+from .inner import InnerConfig
 from .outer import (
     GrowthFn,
     InfeasibleStartError,
-    IterationRecord,
     OuterConfig,
     SolveResult,
     SolveStatus,
     Variant,
     run,
-    select_reference,
-    update_gamma,
-    update_lambda,
-    update_mu,
-    update_nu,
-    update_rho,
 )
-from .phase1 import Phase1Failed, Phase1Spec, build_phase1, find_feasible
-from .problem import (
-    ProblemSpec,
-    check_feasible,
-    eval_objective,
-    prox_box,
-)
-from .problem_gen import (
-    BasisPursuitInstance,
-    gen_basis_pursuit,
-    gen_random_convex_qp,
-    make_random_eq_qp,
-)
-from .qps import QpData, SparseTriplets, parse_qps, parse_qps_file, qp_to_problem
+from .phase1 import Phase1Failed, find_feasible
+from .problem import ProblemSpec, box_problem_terms, check_feasible
+from .problem_gen import gen_basis_pursuit, make_random_eq_qp, qp_problem
+from .qps import QpData, QpsParseError, parse_qps, parse_qps_file, qp_to_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisPursuitInstance",
     "GrowthFn",
     "InfeasibleStartError",
     "InnerConfig",
-    "InnerResult",
-    "IterationRecord",
-    "KktReport",
-    "Multipliers",
     "OuterConfig",
-    "PenaltyState",
     "Phase1Failed",
-    "Phase1Spec",
     "ProblemSpec",
     "QpData",
+    "QpsParseError",
     "SolveResult",
     "SolveStatus",
-    "SparseTriplets",
     "Variant",
-    "build_phase1",
+    "box_problem_terms",
     "check_feasible",
-    "compute_E",
-    "eval_al",
-    "eval_lagrangian",
-    "eval_objective",
-    "eval_pal",
     "find_feasible",
     "gen_basis_pursuit",
-    "gen_random_convex_qp",
-    "grad_al",
-    "grad_pal",
-    "kkt_report",
     "make_random_eq_qp",
-    "natural_residual",
     "parse_qps",
     "parse_qps_file",
-    "prox_box",
+    "qp_problem",
     "qp_to_problem",
     "run",
-    "select_reference",
-    "solve_subproblem",
-    "update_gamma",
-    "update_lambda",
-    "update_mu",
-    "update_nu",
-    "update_rho",
 ]

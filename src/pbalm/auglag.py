@@ -90,6 +90,16 @@ def eval_lagrangian(prob: ProblemSpec, x: np.ndarray, mult: Multipliers) -> floa
     return val
 
 
+def grad_lagrangian(prob: ProblemSpec, x: np.ndarray, mult: Multipliers) -> np.ndarray:
+    """grad f1(x) + Jh(x)^T lam + Jg(x)^T mu."""
+    grad = prob.grad_f1(x).astype(float, copy=True)
+    if prob.p:
+        grad += prob.jac_h_transpose_apply(x, mult.lam)
+    if prob.m:
+        grad += prob.jac_g_transpose_apply(x, mult.mu)
+    return grad
+
+
 def _ineq_terms(g_x: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
     # (1/2nu)||[nu g + mu]_+||^2 - (1/2nu)||mu||^2, componentwise weights
     shifted = np.maximum(0.0, nu * g_x + mu)
@@ -189,12 +199,7 @@ def kkt_report(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     x = prob.check_x(x)
-    grad = prob.grad_f1(x).astype(float, copy=True)
-    if prob.p:
-        grad += prob.jac_h_transpose_apply(x, mult.lam)
-    if prob.m:
-        grad += prob.jac_g_transpose_apply(x, mult.mu)
-    stationarity = natural_residual(prob, x, grad)
+    stationarity = natural_residual(prob, x, grad_lagrangian(prob, x, mult))
     h_x = prob.h(x) if prob.p else np.zeros(0)
     g_x = prob.g(x) if prob.m else np.zeros(0)
     comp_ok = True

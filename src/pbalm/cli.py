@@ -10,7 +10,6 @@ Jacobians once.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,8 +20,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from .inner import InnerConfig
 from .outer import (
     GrowthFn,
+    InfeasibleStartError,
     IterationRecord,
     OuterConfig,
     SolveStatus,
@@ -31,10 +32,7 @@ from .outer import (
     run,
 )
 from .phase1 import Phase1Failed, find_feasible
-from .problem import check_feasible
 from .problem_gen import gen_basis_pursuit
-from .inner import InnerConfig
-from .outer import InfeasibleStartError
 from .qps import QpsParseError, parse_qps_file, qp_to_problem
 
 FIXTURES = {
@@ -71,6 +69,7 @@ def trace_to_json(trace: List[IterationRecord], config: dict, summary: dict) -> 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    outer, inner = OuterConfig(), InnerConfig()
     p = argparse.ArgumentParser(
         prog="pbalm",
         description="Augmented-Lagrangian benchmark runner "
@@ -85,21 +84,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--variant", default="pbalm",
                    help="comma-separated subset of pbalm,balm,alm")
-    p.add_argument("--alpha", type=float, default=4.0,
+    p.add_argument("--alpha", type=float, default=outer.phi.alpha,
                    help="growth exponent for pbalm/balm (must be > 1)")
     p.add_argument("--xi", type=float, default=10.0,
                    help="geometric penalty factor for the alm baseline (> 1)")
     p.add_argument("--delta", type=float, default=None,
                    help="proximal stepsize constant; defaults to 1 for QP "
                         "sources and 1e-6 for basis pursuit")
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--rho0", type=float, default=1e-3)
-    p.add_argument("--nu0", type=float, default=1e-3)
-    p.add_argument("--gamma0", type=float, default=0.1)
-    p.add_argument("--stop-tol", type=float, default=1e-5)
-    p.add_argument("--max-outer", type=int, default=300)
-    p.add_argument("--inner-memory", type=int, default=20)
-    p.add_argument("--max-inner", type=int, default=2000)
+    p.add_argument("--beta", type=float, default=outer.beta)
+    p.add_argument("--rho0", type=float, default=outer.rho0)
+    p.add_argument("--nu0", type=float, default=outer.nu0)
+    p.add_argument("--gamma0", type=float, default=outer.gamma0)
+    p.add_argument("--stop-tol", type=float, default=outer.stop_tol)
+    p.add_argument("--max-outer", type=int, default=outer.max_outer)
+    p.add_argument("--inner-memory", type=int, default=inner.memory)
+    p.add_argument("--max-inner", type=int, default=inner.max_iters)
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; falls back to $PBALM_SEED, then 0")
     p.add_argument("--f1-star", type=float, default=None,

@@ -8,16 +8,12 @@ test.  Deterministic: identical inputs produce identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .auglag import inf_norm
-
-
-class MaxItersExceeded(RuntimeError):
-    """Not raised by solve_subproblem; kept for callers that want to raise."""
 
 
 class NonFiniteValueError(FloatingPointError):

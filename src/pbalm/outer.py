@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -36,12 +36,13 @@ from .auglag import (
     eval_pal,
     eval_pal_completed_square,
     grad_al,
+    grad_lagrangian,
     grad_pal,
     inf_norm,
     kkt_report,
     natural_residual,
 )
-from .inner import InnerConfig, InnerResult, solve_subproblem
+from .inner import InnerConfig, NonFiniteValueError, solve_subproblem
 from .problem import ProblemSpec, check_feasible, eval_objective
 
 
@@ -57,39 +58,34 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class GrowthFn:
-    """Penalty growth schedule phi.
+    """Penalty growth schedule phi(k) = value * k**alpha.
 
     ``power(alpha)`` is k**alpha with alpha > 1, which satisfies the
     bounded-ratio and superlinear-growth conditions.  ``zero`` is reserved
     for the classical-ALM baseline where only the geometric factor acts.
     """
 
-    kind: str
     alpha: float = 0.0
-    value: float = 0.0
+    value: float = 1.0
 
     @staticmethod
     def power(alpha: float) -> "GrowthFn":
         if alpha <= 1:
             raise ValueError("power growth requires alpha > 1")
-        return GrowthFn(kind="power", alpha=alpha)
+        return GrowthFn(alpha=alpha)
 
     @staticmethod
     def constant(value: float) -> "GrowthFn":
         if value < 0:
             raise ValueError("constant growth requires value >= 0")
-        return GrowthFn(kind="constant", value=value)
+        return GrowthFn(value=value)
 
     @staticmethod
     def zero() -> "GrowthFn":
-        return GrowthFn(kind="zero")
+        return GrowthFn.constant(0.0)
 
     def __call__(self, k: int) -> float:
-        if self.kind == "power":
-            return float(k ** self.alpha)
-        if self.kind == "constant":
-            return self.value
-        return 0.0
+        return self.value * float(k ** self.alpha)
 
 
 def default_tau_schedule(k: int) -> float:
@@ -147,17 +143,6 @@ class OuterConfig:
         return cfg
 
 
-@dataclass
-class IterateState:
-    k: int
-    x: np.ndarray
-    mult: Multipliers
-    pen: PenaltyState
-    h_x: np.ndarray
-    g_x: np.ndarray
-    E: np.ndarray
-
-
 # One row per outer iteration; this is the CSV surface of the bench CLI.
 TRACE_COLUMNS = (
     "k", "f1_value", "f2_value", "eq_infeas", "ineq_infeas", "E_norm",
@@ -208,6 +193,7 @@ class SolveStatus(enum.Enum):
     EPS_KKT = "eps_kkt"
     MAX_OUTER_REACHED = "max_outer_reached"
     INNER_FAILURE = "inner_failure"
+    NUMERICAL_FAILURE = "numerical_failure"
 
 
 @dataclass
@@ -220,25 +206,26 @@ class SolveResult:
     diagnostics: List[DiagnosticRecord]
 
 
-def select_reference(prob: ProblemSpec, state: IterateState, x0: np.ndarray,
+def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
+                     pen: PenaltyState, x0: np.ndarray,
                      cfg: OuterConfig) -> np.ndarray:
-    """Reference-point test: keep the current iterate while the augmented
+    """Reference-point test: keep the current iterate x while the augmented
     Lagrangian there stays below the bound anchored at the feasible x0;
     otherwise fall back to x0.  Returns x0 itself (same object) on reset.
     """
     if cfg.variant is Variant.ALM:
-        return state.x
-    f2_x = prob.f2_value(state.x)
+        return x
+    f2_x = prob.f2_value(x)
     if not np.isfinite(f2_x):
         return x0
     if cfg.variant is Variant.PBALM:
-        lhs = eval_pal(prob, state.x, state.mult, state.pen, state.x) + f2_x
-        d = x0 - state.x
-        rhs = eval_objective(prob, x0) + float(d @ d) / (2.0 * state.pen.gamma)
+        lhs = eval_pal(prob, x, mult, pen, x) + f2_x
+        d = x0 - x
+        rhs = eval_objective(prob, x0) + float(d @ d) / (2.0 * pen.gamma)
     else:
-        lhs = eval_al(prob, state.x, state.mult, state.pen.rho, state.pen.nu) + f2_x
+        lhs = eval_al(prob, x, mult, pen.rho, pen.nu) + f2_x
         rhs = eval_objective(prob, x0)
-    return state.x if lhs <= rhs else x0
+    return x if lhs <= rhs else x0
 
 
 def update_lambda(mult: Multipliers, rho: Penalty, h_x: np.ndarray) -> Multipliers:
@@ -295,9 +282,14 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         stop_when: Optional[Callable[[np.ndarray], bool]] = None) -> SolveResult:
     """Outer loop.  ``stop_when``, if given, replaces the default stopping
     rule max{||h||_inf, ||E||_inf} <= stop_tol (used by the phase-I driver,
-    which terminates on feasibility of the base problem instead)."""
+    which terminates on feasibility of the base problem instead).
+
+    A non-finite value inside a subproblem solve ends the run with status
+    NUMERICAL_FAILURE at the last finite outer iterate."""
     cfg = cfg.resolved()
     x0 = prob.check_x(x0).copy()
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial point has non-finite entries")
 
     if cfg.require_feasible_start and not check_feasible(prob, x0, cfg.feas_tol):
         raise InfeasibleStartError(
@@ -321,8 +313,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
     for k in range(cfg.max_outer):
         tau_k = cfg.tau_schedule(k)
-        state = IterateState(k=k, x=x, mult=mult, pen=pen, h_x=h_x, g_x=g_x, E=E)
-        x_hat = select_reference(prob, state, x0, cfg)
+        x_hat = select_reference(prob, x, mult, pen, x0, cfg)
         reset = x_hat is x0
 
         if proximal:
@@ -333,8 +324,12 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             smooth_grad = lambda z: grad_al(prob, z, mult, pen.rho, pen.nu)
 
         inner_cfg = dataclasses.replace(cfg.inner, tol=tau_k)
-        res = solve_subproblem(smooth_value, smooth_grad, prob.prox_f2,
-                               x_hat, inner_cfg, nonsmooth_value=prob.f2_value)
+        try:
+            res = solve_subproblem(smooth_value, smooth_grad, prob.prox_f2,
+                                   x_hat, inner_cfg, nonsmooth_value=prob.f2_value)
+        except NonFiniteValueError:
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
         x_new = res.x
         cum_grad += res.grad_evals
         h_new = prob.h(x_new) if prob.p else np.zeros(0)
@@ -375,11 +370,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
         # Exact identity: the Lagrangian gradient at the updated multipliers
         # equals the subproblem gradient minus the proximal correction.
-        grad_L = prob.grad_f1(x_new).astype(float, copy=True)
-        if prob.p:
-            grad_L += prob.jac_h_transpose_apply(x_new, mult_new.lam)
-        if prob.m:
-            grad_L += prob.jac_g_transpose_apply(x_new, mult_new.mu)
+        grad_L = grad_lagrangian(prob, x_new, mult_new)
         grad_sub = smooth_grad(x_new)
         if proximal:
             grad_sub = grad_sub - (x_new - x_hat) / gamma_k
@@ -469,7 +460,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             status = SolveStatus.EPS_KKT
             break
 
-    if status is not SolveStatus.EPS_KKT and trace and not trace[-1].inner_converged:
+    if status is SolveStatus.MAX_OUTER_REACHED and trace and not trace[-1].inner_converged:
         status = SolveStatus.INNER_FAILURE
 
     eps = max(cfg.stop_tol, tau_k)

@@ -13,7 +13,7 @@ never materialize a dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -92,32 +92,20 @@ def eval_objective(prob: ProblemSpec, x: np.ndarray) -> float:
 
 
 def check_feasible(prob: ProblemSpec, x: np.ndarray, tol: float) -> bool:
-    """True iff ||h(x)||_inf <= tol, max g_i(x) <= tol and x in dom f2."""
+    """True iff ||h(x)||_inf <= tol, max g_i(x) <= tol and x in dom f2;
+    a NaN residual fails the test."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
     x = prob.check_x(x)
     if not np.isfinite(prob.f2_value(x)):
         return False
     h = prob.h(x)
-    if h.size and np.max(np.abs(h)) > tol:
+    if h.size and not np.max(np.abs(h)) <= tol:
         return False
     g = prob.g(x)
-    if g.size and np.max(g) > tol:
+    if g.size and not np.max(g) <= tol:
         return False
     return True
-
-
-def prox_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Componentwise clamp of x onto [lower, upper]; +-inf entries allowed."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if np.any(lower > upper):
-        bad = int(np.argmax(lower > upper))
-        raise CrossedBoundsError(
-            f"lower bound exceeds upper bound at index {bad}: "
-            f"{lower[bad]} > {upper[bad]}"
-        )
-    return np.minimum(np.maximum(x, lower), upper)
 
 
 def box_problem_terms(lower: np.ndarray, upper: np.ndarray):

@@ -128,11 +128,3 @@ def qp_problem(qp: RandomEqQp) -> ProblemSpec:
         name=f"random-eq-qp-n{Q.shape[0]}-m{A.shape[0]}-s{qp.seed}",
     )
 
-
-def gen_random_convex_qp(n: int, m_eq: int, seed: int
-                         ) -> Tuple[ProblemSpec, np.ndarray, np.ndarray]:
-    """(problem, x_star, lambda_star) for a seeded strictly convex
-    equality-constrained QP; the optimum satisfies stationarity and
-    feasibility to 1e-10 by construction."""
-    qp = make_random_eq_qp(n, m_eq, seed)
-    return qp_problem(qp), qp.x_star, qp.lambda_star

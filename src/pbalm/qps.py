@@ -5,7 +5,9 @@ Accepts both fixed-field and free-form files (tokens split on
 whitespace).  Quadratic objectives come from a QUADOBJ section (lower
 triangle, off-diagonals counted once and mirrored) or a QMATRIX section
 (full matrix, taken as given); mixing the two is rejected.  Fortran-style
-exponents (1.0D+01) are accepted in every numeric field.
+exponents (1.0D+01) are accepted in every numeric field.  OBJSENSE MAX,
+in the section or the one-line form, negates the objective, so QpData
+always describes a minimization.
 """
 
 from __future__ import annotations
@@ -86,6 +88,17 @@ class QpData:
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
              "QUADOBJ", "QMATRIX", "OBJSENSE", "ENDATA"}
 
+# OBJSENSE value -> sign that turns the objective into a minimization.
+_OBJ_SIGN = {"MIN": 1.0, "MINIMIZE": 1.0, "MAX": -1.0, "MAXIMIZE": -1.0}
+
+
+def _obj_sign(token: str, line_no: int) -> float:
+    try:
+        return _OBJ_SIGN[token.upper()]
+    except KeyError:
+        raise QpsParseError(f"unknown objective sense {token!r}",
+                            line_no) from None
+
 
 def _num(token: str, line_no: int) -> float:
     try:
@@ -117,6 +130,7 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
     quad_full: dict = {}          # QMATRIX accumulation
     quad_lower: dict = {}         # QUADOBJ accumulation
     quad_section_seen: Optional[str] = None
+    obj_sign = 1.0
 
     section = None
     seen_sections = set()
@@ -142,6 +156,8 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
                 quad_section_seen = head
             if head == "NAME" and len(tokens) > 1:
                 name = tokens[1]
+            if head == "OBJSENSE" and len(tokens) > 1:
+                obj_sign = _obj_sign(tokens[1], line_no)
             if head == "ENDATA":
                 saw_endata = True
                 break
@@ -250,7 +266,9 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
             else:
                 quad_full[(i, j)] = quad_full.get((i, j), 0.0) + v
 
-        elif section in ("NAME", "OBJSENSE"):
+        elif section == "OBJSENSE":
+            obj_sign = _obj_sign(tokens[0], line_no)
+        elif section == "NAME":
             continue
         else:
             raise QpsParseError("data line before any section header", line_no)
@@ -342,6 +360,11 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
     for j, v in q_lin.items():
         q_vec[j] = v
 
+    if obj_sign < 0:
+        q_entries = [(i, j, -v) for i, j, v in q_entries]
+        q_vec = -q_vec
+        obj_const = -obj_const
+
     return QpData(
         name=name,
         n=n,
@@ -392,6 +415,7 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     u = qp.row_upper[up_rows]
     A_lo = A[lo_rows]
     l = qp.row_lower[lo_rows]
+    A_eq_T, A_up_T, A_lo_T = A_eq.T, A_up.T, A_lo.T
 
     p = len(eq_rows)
     m = len(up_rows) + len(lo_rows)
@@ -407,13 +431,13 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
         return A_eq @ x - b_eq
 
     def jac_h_T(x, y):
-        return A_eq.T @ y
+        return A_eq_T @ y
 
     def g(x):
         return np.concatenate([A_up @ x - u, l - A_lo @ x])
 
     def jac_g_T(x, y):
-        return A_up.T @ y[:n_up] - A_lo.T @ y[n_up:]
+        return A_up_T @ y[:n_up] - A_lo_T @ y[n_up:]
 
     f2_value, prox_f2 = box_problem_terms(qp.var_lower, qp.var_upper)
 

@@ -83,3 +83,13 @@ def ineq_problem():
         jac_g_transpose_apply=lambda x, y: A.T @ y,
         name="ineq-qp",
     )
+
+
+def exp50_problem():
+    """min exp(50 x); the inner solver's steps from x = 10 overflow."""
+    return ProblemSpec(
+        n=1,
+        f1=lambda x: float(np.exp(50.0 * x[0])),
+        grad_f1=lambda x: 50.0 * np.exp(50.0 * x),
+        name="exp50",
+    )

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from pbalm import cli
 from pbalm.cli import build_parser, fixture_path, main, trace_to_csv
 from pbalm.outer import TRACE_COLUMNS, IterationRecord
+from conftest import exp50_problem
 
 
 def _bp_args(tmp_path, fmt="csv", extra=()):
@@ -89,6 +91,18 @@ class TestRuns:
         bad.write_text("NAME X\nROWS\n Q  R1\nENDATA\n")
         assert main(["--qps", str(bad), "--variant", "pbalm"]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_numerical_failure_writes_trace_exit_2(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_build_problem",
+                            lambda args, seed: (exp50_problem(), np.array([10.0])))
+        out = tmp_path / "t.csv"
+        with np.errstate(over="ignore"):
+            code = main(["--fixture", "tiny_eq", "--variant", "pbalm",
+                         "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == ",".join(TRACE_COLUMNS) + "\n"
+        assert "status=numerical_failure" in capsys.readouterr().out
 
     def test_multiple_variants_write_suffixed_traces(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

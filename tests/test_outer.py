@@ -8,7 +8,6 @@ from pbalm.inner import InnerConfig
 from pbalm.outer import (
     GrowthFn,
     InfeasibleStartError,
-    IterateState,
     OuterConfig,
     SolveStatus,
     Variant,
@@ -21,7 +20,8 @@ from pbalm.outer import (
     update_rho,
 )
 from pbalm.problem import check_feasible
-from conftest import box_qp_1d, eq_qp_1d, ineq_problem, quadratic_problem, simplex_qp
+from conftest import (box_qp_1d, eq_qp_1d, exp50_problem, ineq_problem,
+                      quadratic_problem, simplex_qp)
 
 
 def tight_cfg(**kw):
@@ -68,7 +68,7 @@ class TestConfig:
 
     def test_alm_normalization(self):
         cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0).resolved()
-        assert cfg.phi.kind == "zero"
+        assert cfg.phi == GrowthFn.zero()
         assert not cfg.require_feasible_start
 
 
@@ -142,42 +142,38 @@ class TestPenaltyUpdates:
 
 
 class TestSelectReference:
-    def _state(self, prob, x, lam, gamma=0.1):
+    def _select(self, prob, x, lam, x0, cfg, gamma=0.1):
         mult = Multipliers(np.asarray(lam, dtype=float), np.zeros(prob.m))
         pen = PenaltyState(rho=1e-3, nu=1e-3, gamma=gamma)
-        return IterateState(k=1, x=x, mult=mult, pen=pen,
-                            h_x=prob.h(x), g_x=prob.g(x), E=np.zeros(prob.m))
+        return select_reference(prob, x, mult, pen, x0, cfg)
 
     def test_keeps_iterate_at_start(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig().resolved()
-        state = self._state(prob, x0.copy(), [0.0])
-        out = select_reference(prob, state, x0, cfg)
-        assert out is state.x
+        x = x0.copy()
+        assert self._select(prob, x, [0.0], x0, cfg) is x
 
     def test_falls_back_on_inflated_multiplier(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig().resolved()
         x = np.array([3.0, 0.0])  # feasible but far; huge lambda blows up the AL
-        state = self._state(prob, x, [1e9])
-        out = select_reference(prob, state, x0, cfg)
-        assert out is x0
+        assert self._select(prob, x, [1e9], x0, cfg) is x0
 
     def test_balm_keeps_feasible_iterate(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig(variant=Variant.BALM).resolved()
-        state = self._state(prob, x0.copy(), [0.0])
-        assert select_reference(prob, state, x0, cfg) is state.x
+        x = x0.copy()
+        assert self._select(prob, x, [0.0], x0, cfg) is x
 
     def test_alm_never_resets(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0).resolved()
-        state = self._state(prob, np.array([5.0, 5.0]), [1e9])
-        assert select_reference(prob, state, x0, cfg) is state.x
+        x = np.array([5.0, 5.0])
+        assert self._select(prob, x, [1e9], x0, cfg) is x
 
 
 class TestRun:
@@ -212,6 +208,20 @@ class TestRun:
         prob = simplex_qp()
         with pytest.raises(InfeasibleStartError):
             run(prob, np.zeros(2), tight_cfg())
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            run(quadratic_problem(), np.array([0.0, np.nan]), tight_cfg())
+
+    def test_overflow_returns_numerical_failure(self):
+        # The inner solver's steps on exp(50 x) from x0 = 10 overflow.
+        prob = exp50_problem()
+        with np.errstate(over="ignore"):
+            res = run(prob, np.array([10.0]), tight_cfg())
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        np.testing.assert_array_equal(res.x, [10.0])
+        assert np.isfinite(res.kkt.stationarity)
+        assert res.trace == []
 
     def test_alm_allows_infeasible_start(self):
         prob = simplex_qp()

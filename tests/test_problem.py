@@ -10,8 +10,8 @@ from pbalm.problem import (
     box_problem_terms,
     check_feasible,
     eval_objective,
-    prox_box,
 )
+from pbalm.problem_gen import gen_basis_pursuit
 from conftest import fd_grad, quadratic_problem, ineq_problem, eq_qp_1d
 
 
@@ -64,9 +64,21 @@ class TestCheckFeasible:
                            f2_value=f2, prox_f2=prox)
         assert not check_feasible(prob, np.array([2.0]), tol=0.0)
 
+    def test_nan_point_infeasible(self):
+        # A NaN residual compares False against any tolerance.
+        _, bp, _ = gen_basis_pursuit(20, 64, 3, seed=0)
+        assert not check_feasible(bp, np.full(bp.n, np.nan), tol=1e-8)
+        assert not check_feasible(ineq_problem(), np.full(2, np.nan), tol=1e-8)
+
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             check_feasible(quadratic_problem(), np.zeros(2), tol=-1.0)
+
+
+def prox_box(x, lower, upper):
+    """The box prox that box_problem_terms returns, applied once."""
+    _, prox = box_problem_terms(lower, upper)
+    return prox(x, 1.0)
 
 
 class TestProxBox:
@@ -84,8 +96,9 @@ class TestProxBox:
         np.testing.assert_array_equal(out, x)
 
     def test_crossed_bounds(self):
+        # Rejected when the terms are built, before any prox is applied.
         with pytest.raises(CrossedBoundsError):
-            prox_box(np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+            box_problem_terms(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
     @given(arrays(float, 4, elements=st.floats(-10, 10)),
            arrays(float, 4, elements=st.floats(-10, 10)))

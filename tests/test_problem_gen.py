@@ -4,8 +4,8 @@ import pytest
 from pbalm.problem import check_feasible
 from pbalm.problem_gen import (
     gen_basis_pursuit,
-    gen_random_convex_qp,
     make_random_eq_qp,
+    qp_problem,
 )
 from conftest import fd_grad, rel_err
 
@@ -78,7 +78,8 @@ class TestBasisPursuit:
 class TestRandomEqQp:
     def test_oracle_residuals(self):
         for seed in range(5):
-            prob, x_star, lam_star = gen_random_convex_qp(8, 3, seed)
+            qp = make_random_eq_qp(8, 3, seed)
+            prob, x_star, lam_star = qp_problem(qp), qp.x_star, qp.lambda_star
             assert np.max(np.abs(prob.h(x_star))) <= 1e-10
             grad = prob.grad_f1(x_star) + prob.jac_h_transpose_apply(x_star, lam_star)
             assert np.max(np.abs(grad)) <= 1e-9

@@ -17,6 +17,7 @@ from pbalm.qps import (
     parse_qps_file,
     qp_to_problem,
 )
+from pbalm.outer import OuterConfig, SolveStatus, run
 from conftest import fd_grad, rel_err
 
 HERE = os.path.dirname(__file__)
@@ -225,6 +226,60 @@ class TestFormatDetails:
         m = t.to_csr()
         assert m[0, 0] == 3.0
         assert m[1, 1] == 5.0
+
+
+# max x1 over [0, 1] in the two OBJSENSE forms; the optimum is x1 = 1.
+MAX_SECTION = (
+    "NAME          MAXONE\n"
+    "OBJSENSE\n    MAX\n"
+    "ROWS\n N  OBJ\n"
+    "COLUMNS\n    X1        OBJ       1.0\n"
+    "BOUNDS\n UP BND       X1        1.0\n"
+    "ENDATA\n"
+)
+MAX_ONE_LINE = MAX_SECTION.replace("OBJSENSE\n    MAX", "OBJSENSE MAX")
+
+
+class TestObjsense:
+    @pytest.mark.parametrize("text", [MAX_SECTION, MAX_ONE_LINE],
+                             ids=["section", "one-line"])
+    def test_max_reaches_upper_bound(self, text):
+        prob = qp_to_problem(parse_qps(text))
+        x0 = prob.prox_f2(np.zeros(1), 1.0)
+        res = run(prob, x0, OuterConfig(delta=1.0))
+        assert res.status is SolveStatus.EPS_KKT
+        assert abs(res.x[0] - 1.0) <= 1e-6
+
+    def test_max_negates_every_objective_term(self):
+        body = (
+            "ROWS\n N  OBJ\n L  R1\n"
+            "COLUMNS\n    X1        OBJ       2.0       R1        1.0\n"
+            "    X2        OBJ       -3.0      R1        1.0\n"
+            "RHS\n    RHS       OBJ       5.0       R1        4.0\n"
+            "QUADOBJ\n    X1        X1        1.0\n    X2        X1        0.5\n"
+            "ENDATA\n"
+        )
+        base = parse_qps("NAME T\n" + body)
+        for sense in ("MAX", "MAXIMIZE", "max"):
+            for header in (f"OBJSENSE\n    {sense}\n", f"OBJSENSE {sense}\n"):
+                qp = parse_qps("NAME T\n" + header + body)
+                np.testing.assert_array_equal(qp.q, -base.q)
+                assert qp.Q.entries == [(i, j, -v) for i, j, v in base.Q.entries]
+                assert qp.c == -base.c
+                assert qp.A.entries == base.A.entries
+                np.testing.assert_array_equal(qp.row_upper, base.row_upper)
+        for sense in ("MIN", "MINIMIZE"):
+            qp = parse_qps(f"NAME T\nOBJSENSE\n    {sense}\n" + body)
+            np.testing.assert_array_equal(qp.q, base.q)
+            assert qp.Q.entries == base.Q.entries
+            assert qp.c == base.c
+
+    @pytest.mark.parametrize("header,line", [("OBJSENSE\n    UP\n", 3),
+                                             ("OBJSENSE UP\n", 2)])
+    def test_unknown_sense_has_line_number(self, header, line):
+        with pytest.raises(QpsParseError) as info:
+            parse_qps("NAME T\n" + header + "ROWS\n N  OBJ\nCOLUMNS\nENDATA\n")
+        assert info.value.line_no == line
 
 
 class TestMalformedCorpus:
