@@ -51,36 +51,32 @@ class _LbfgsMemory:
 
     def __init__(self, memory: int):
         self.memory = memory
-        self.s: list = []
-        self.y: list = []
+        self.pairs: list = []  # (s, y, s.y), oldest first; push computes s.y
 
     def reset(self) -> None:
-        self.s.clear()
-        self.y.clear()
+        self.pairs.clear()
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s @ y)
         if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             return
-        self.s.append(s)
-        self.y.append(y)
-        if len(self.s) > self.memory:
-            self.s.pop(0)
-            self.y.pop(0)
+        self.pairs.append((s, y, sy))
+        if len(self.pairs) > self.memory:
+            self.pairs.pop(0)
 
     def direction(self, r: np.ndarray) -> np.ndarray:
-        if not self.s:
+        if not self.pairs:
             return -r
         q = r.copy()
         alphas = []
-        for s, y in zip(reversed(self.s), reversed(self.y)):
-            a = float(s @ q) / float(s @ y)
+        for s, y, sy in reversed(self.pairs):
+            a = float(s @ q) / sy
             alphas.append(a)
             q -= a * y
-        s, y = self.s[-1], self.y[-1]
-        q *= float(s @ y) / float(y @ y)
-        for (s, y), a in zip(zip(self.s, self.y), reversed(alphas)):
-            b = float(y @ q) / float(s @ y)
+        _, y, sy = self.pairs[-1]
+        q *= sy / float(y @ y)
+        for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
+            b = float(y @ q) / sy
             q += (a - b) * s
         return -q
 

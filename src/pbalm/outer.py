@@ -278,14 +278,35 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-30)
 
 
+def _last_point(fn: Callable[[np.ndarray], np.ndarray]
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn`` remembering its last argument and result: a repeated call
+    on the same array object returns the stored result."""
+    last_x, last_out = None, None
+
+    def cached(x: np.ndarray) -> np.ndarray:
+        nonlocal last_x, last_out
+        if x is not last_x:
+            last_x, last_out = x, fn(x)
+        return last_out
+
+    return cached
+
+
 def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         stop_when: Optional[Callable[[np.ndarray], bool]] = None) -> SolveResult:
     """Outer loop.  ``stop_when``, if given, replaces the default stopping
     rule max{||h||_inf, ||E||_inf} <= stop_tol (used by the phase-I driver,
     which terminates on feasibility of the base problem instead).
 
+    ``h`` and ``g`` are evaluated once per point: the run remembers the
+    last point each was called on and reuses the result when the same
+    array comes back.  The solver never changes an evaluated point in
+    place, and ``stop_when`` must not modify ``x`` either.
+
     A non-finite value inside a subproblem solve ends the run with status
     NUMERICAL_FAILURE at the last finite outer iterate."""
+    prob = dataclasses.replace(prob, h=_last_point(prob.h), g=_last_point(prob.g))
     cfg = cfg.resolved()
     x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):

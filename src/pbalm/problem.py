@@ -119,9 +119,10 @@ def box_problem_terms(lower: np.ndarray, upper: np.ndarray):
     if np.any(lower > upper):
         raise CrossedBoundsError("crossed box bounds")
     slack = 1e-12
+    lower_tol, upper_tol = lower - slack, upper + slack
 
     def value(x: np.ndarray) -> float:
-        if np.all(x >= lower - slack) and np.all(x <= upper + slack):
+        if np.all(x >= lower_tol) and np.all(x <= upper_tol):
             return 0.0
         return np.inf
 

@@ -40,19 +40,19 @@ def gen_basis_pursuit(p: int, n: int, k: int, seed: int
     b = B @ z_star
     inst = BasisPursuitInstance(B=B, b=b, z_star=z_star, seed=seed)
 
-    B_bar = np.hstack([B, -B])
-
     def f1(x):
         return float(x @ x)
 
     def grad_f1(x):
         return 2.0 * x
 
+    # [B, -B] x^{.2} is applied as B (x1^{.2} - x2^{.2}), never stacked.
     def h(x):
-        return B_bar @ (x * x) - b
+        return B @ (x[:n] * x[:n] - x[n:] * x[n:]) - b
 
     def jac_h_T(x, y):
-        return 2.0 * x * (B_bar.T @ y)
+        Bty = B.T @ y
+        return 2.0 * x * np.concatenate([Bty, -Bty])
 
     prob = ProblemSpec(
         n=2 * n, p=p, m=0,

@@ -27,3 +27,9 @@ def test_tracer_patches_and_sees_each_layer(monkeypatch):
             "auglag.natural_residual", "auglag.compute_E",
             "oracle.h", "oracle.jac_h_t"} <= names
     assert outer.run.__module__ == "pbalm.outer"  # restored on exit
+
+    # The run's last-point cache wraps the traced maps, so the tracer
+    # counts real evaluations only.
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["oracle.h_per_grad"][0] <= 2.1
+    assert metrics["outer.h_per_iter"][0] <= 1.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pbalm.inner import InnerConfig, NonFiniteValueError, solve_subproblem
+from pbalm.inner import (InnerConfig, NonFiniteValueError, _LbfgsMemory,
+                         solve_subproblem)
 from pbalm.problem import box_problem_terms
 
 
@@ -182,3 +183,49 @@ class TestContract:
             grad, identity_prox, np.zeros(2), InnerConfig(tol=1e-8),
         )
         assert res.grad_evals == calls[0]
+
+
+def reference_two_loop(pairs, r):
+    """Textbook two-loop recursion over (s, y) pairs, oldest first, with
+    every s.y recomputed."""
+    if not pairs:
+        return -r
+    q = r.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = float(s @ q) / float(s @ y)
+        alphas.append(a)
+        q -= a * y
+    s, y = pairs[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        b = float(y @ q) / float(s @ y)
+        q += (a - b) * s
+    return -q
+
+
+class TestLbfgsMemory:
+    def test_direction_matches_reference_bitwise(self):
+        rng = np.random.default_rng(3)
+        n, memory = 7, 3
+        M = rng.standard_normal((n, n))
+        A = M @ M.T + np.eye(n)  # y = A s has positive curvature
+        mem = _LbfgsMemory(memory)
+        ref = []
+        # Five good pairs (more than memory), a rejected one, a reset,
+        # then two more good pairs.
+        steps = ["good"] * 5 + ["bad", "reset", "good", "good"]
+        for step in steps:
+            if step == "reset":
+                mem.reset()
+                ref.clear()
+            else:
+                s = rng.standard_normal(n)
+                y = A @ s if step == "good" else -s
+                mem.push(s, y)
+                if step == "good":
+                    ref = (ref + [(s, y)])[-memory:]
+            assert len(mem.pairs) == len(ref)
+            r = rng.standard_normal(n)
+            np.testing.assert_array_equal(mem.direction(r),
+                                          reference_two_loop(ref, r))

@@ -20,6 +20,7 @@ from pbalm.outer import (
     update_rho,
 )
 from pbalm.problem import check_feasible
+from pbalm.problem_gen import gen_basis_pursuit
 from conftest import (box_qp_1d, eq_qp_1d, exp50_problem, ineq_problem,
                       quadratic_problem, simplex_qp)
 
@@ -295,3 +296,36 @@ class TestRun:
         assert res.status is SolveStatus.EPS_KKT
         assert max(res.trace[-1].eq_infeas, res.trace[-1].E_norm) <= 1e-7
         assert check_feasible(prob, res.x, 1e-6)
+
+
+def counting(prob):
+    """``prob`` with ``h`` and ``g`` counting their calls in ``calls``."""
+    calls = {"h": 0, "g": 0}
+
+    def wrap(name, fn):
+        def counted(x):
+            calls[name] += 1
+            return fn(x)
+        return counted
+
+    return dataclasses.replace(prob, h=wrap("h", prob.h),
+                               g=wrap("g", prob.g)), calls
+
+
+class TestOneEvaluationPerPoint:
+    """``run`` evaluates h and g once per point: the line search's value
+    and gradient at a candidate, the outer diagnostics and the KKT report
+    share one evaluation."""
+
+    def test_basis_pursuit_h_per_grad(self):
+        _, prob, x0 = gen_basis_pursuit(20, 50, 5, 0)
+        prob, calls = counting(prob)
+        res = run(prob, x0, OuterConfig(delta=1e-6))
+        assert res.status is SolveStatus.EPS_KKT
+        assert calls["h"] <= 2.1 * res.trace[-1].inner_grad_evals
+
+    def test_inequality_g_per_grad(self):
+        prob, calls = counting(ineq_problem())
+        res = run(prob, np.zeros(2), tight_cfg())
+        assert res.status is SolveStatus.EPS_KKT
+        assert calls["g"] <= 2.1 * res.trace[-1].inner_grad_evals

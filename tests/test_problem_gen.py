@@ -56,6 +56,21 @@ class TestBasisPursuit:
         rhs = d @ prob.jac_h_transpose_apply(x, y)
         assert abs(lhs - rhs) <= 1e-4 * (1.0 + abs(rhs))
 
+    def test_oracle_matches_stacked_matrix(self):
+        inst, prob, _ = gen_basis_pursuit(20, 50, 5, seed=1)
+        B_bar = np.hstack([inst.B, -inst.B])
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x = rng.standard_normal(prob.n)
+            y = rng.standard_normal(prob.p)
+            # h sums terms of mixed sign; an entry that cancels to near zero
+            # is compared against the size of the terms it sums.
+            scale = np.max(np.abs(B_bar) @ (x * x) + np.abs(inst.b))
+            np.testing.assert_allclose(prob.h(x), B_bar @ (x * x) - inst.b,
+                                       rtol=1e-13, atol=1e-13 * scale)
+            np.testing.assert_allclose(prob.jac_h_transpose_apply(x, y),
+                                       2.0 * x * (B_bar.T @ y), rtol=1e-13)
+
     def test_seeded_determinism(self):
         a, _, xa = gen_basis_pursuit(20, 50, 5, seed=42)
         b, _, xb = gen_basis_pursuit(20, 50, 5, seed=42)
