@@ -1,8 +1,10 @@
 """Augmented Lagrangian evaluations, residuals and KKT certificates.
 
 All functions here are stateless over immutable inputs.  Penalty weights
-may be scalars or per-constraint vectors; scalar weights are broadcast so
-every formula is written componentwise.
+may be scalars or per-constraint vectors; every formula is written
+componentwise and numpy broadcasts a scalar weight.  ``outer.run`` checks
+the weights once, at its entry, with ``as_weight``, so the building blocks
+here expect strictly positive weights of the right shape.
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ class PenaltyState:
     nu: Penalty
     gamma: float
 
-    def rho_vec(self, p: int) -> np.ndarray:
-        return as_weight(self.rho, p)
-
-    def nu_vec(self, m: int) -> np.ndarray:
-        return as_weight(self.nu, m)
-
 
 @dataclass
 class KktReport:
@@ -100,7 +96,7 @@ def grad_lagrangian(prob: ProblemSpec, x: np.ndarray, mult: Multipliers) -> np.n
     return grad
 
 
-def _ineq_terms(g_x: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+def _ineq_terms(g_x: np.ndarray, mu: np.ndarray, nu: Penalty) -> float:
     # (1/2nu)||[nu g + mu]_+||^2 - (1/2nu)||mu||^2, componentwise weights
     shifted = np.maximum(0.0, nu * g_x + mu)
     return float(np.sum(shifted**2 / (2.0 * nu)) - np.sum(mu**2 / (2.0 * nu)))
@@ -112,11 +108,10 @@ def eval_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     x = prob.check_x(x)
     val = prob.f1(x)
     if prob.p:
-        r = as_weight(rho, prob.p)
         h_x = prob.h(x)
-        val += float(mult.lam @ h_x) + float(np.sum(r * h_x**2) / 2.0)
+        val += float(mult.lam @ h_x) + float(np.sum(rho * h_x**2) / 2.0)
     if prob.m:
-        val += _ineq_terms(prob.g(x), mult.mu, as_weight(nu, prob.m))
+        val += _ineq_terms(prob.g(x), mult.mu, nu)
     return val
 
 
@@ -140,12 +135,10 @@ def grad_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     x = prob.check_x(x)
     grad = prob.grad_f1(x).astype(float, copy=True)
     if prob.p:
-        r = as_weight(rho, prob.p)
         h_x = prob.h(x)
-        grad += prob.jac_h_transpose_apply(x, mult.lam + r * h_x)
+        grad += prob.jac_h_transpose_apply(x, mult.lam + rho * h_x)
     if prob.m:
-        nu_v = as_weight(nu, prob.m)
-        shifted = np.maximum(0.0, nu_v * prob.g(x) + mult.mu)
+        shifted = np.maximum(0.0, nu * prob.g(x) + mult.mu)
         grad += prob.jac_g_transpose_apply(x, shifted)
     return grad
 
@@ -165,26 +158,22 @@ def eval_pal_completed_square(prob: ProblemSpec, x: np.ndarray, mult: Multiplier
     x = prob.check_x(x)
     val = prob.f1(x)
     if prob.p:
-        r = as_weight(pen.rho, prob.p)
+        rho = pen.rho
         h_x = prob.h(x)
-        val += float(np.sum((r * h_x + mult.lam) ** 2 / (2.0 * r)))
-        val -= float(np.sum(mult.lam**2 / (2.0 * r)))
+        val += float(np.sum((rho * h_x + mult.lam) ** 2 / (2.0 * rho)))
+        val -= float(np.sum(mult.lam**2 / (2.0 * rho)))
     if prob.m:
-        nu_v = as_weight(pen.nu, prob.m)
-        shifted = np.maximum(0.0, nu_v * prob.g(x) + mult.mu)
-        val += float(np.sum(shifted**2 / (2.0 * nu_v)))
-        val -= float(np.sum(mult.mu**2 / (2.0 * nu_v)))
+        nu = pen.nu
+        shifted = np.maximum(0.0, nu * prob.g(x) + mult.mu)
+        val += float(np.sum(shifted**2 / (2.0 * nu)))
+        val -= float(np.sum(mult.mu**2 / (2.0 * nu)))
     d = x - np.asarray(v, dtype=float)
     return val + float(d @ d) / (2.0 * pen.gamma)
 
 
 def compute_E(g_x: np.ndarray, mu_prev: np.ndarray, nu_prev: Penalty) -> np.ndarray:
     """Complementarity surrogate: componentwise min{-g(x), mu/nu}."""
-    m = g_x.size
-    if m == 0:
-        return np.zeros(0)
-    nu_v = as_weight(nu_prev, m)
-    return np.minimum(-g_x, mu_prev / nu_v)
+    return np.minimum(-g_x, mu_prev / nu_prev)
 
 
 def natural_residual(prob: ProblemSpec, x: np.ndarray, grad: np.ndarray) -> float:

@@ -101,7 +101,9 @@ def solve_subproblem(
     ||x - prox(x - grad, 1)||_inf drops below cfg.tol.
 
     The returned residual is always recomputed from a fresh gradient at
-    the returned point.  grad_evals counts every smooth_grad call.
+    the returned point.  grad_evals counts every smooth_grad call.  The
+    returned point is never the ``x0`` array itself, and ``x0`` is not
+    modified.
     """
     n_grad = 0
 
@@ -117,7 +119,7 @@ def solve_subproblem(
             return 0.0
         return float(nonsmooth_value(z))
 
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     fx = float(smooth_value(x))
     _check_finite(fx)
     g = grad(x)
@@ -125,7 +127,7 @@ def solve_subproblem(
     # Already tau-stationary: return immediately with zero iterations.
     res0 = inf_norm(x - prox(x - g, 1.0))
     if res0 <= cfg.tol:
-        return InnerResult(x=x, residual=res0, iterations=0,
+        return InnerResult(x=x.copy(), residual=res0, iterations=0,
                            grad_evals=n_grad, converged=True)
 
     if cfg.step_init == "auto":
@@ -170,43 +172,39 @@ def solve_subproblem(
             best_obj = obj_bar
             best_x = xbar.copy()
 
-        # Cheap proxy first; verify with a fresh gradient at the prox point.
-        # ||x - T_gamma x||/gamma bounds the unit-step residual from above
-        # for gamma <= 1, so this trigger cannot fire too early.
-        if inf_norm(r) <= cfg.tol * min(1.0, gamma):
-            gbar = grad(xbar)
-            res = inf_norm(xbar - prox(xbar - gbar, 1.0))
-            if res <= cfg.tol:
-                return InnerResult(x=xbar, residual=res, iterations=iterations,
-                                   grad_evals=n_grad, converged=True)
-            s_step = xbar - x
-            x, fx, g = xbar, fbar, gbar
-            cbar = prox(x - gamma * g, gamma)
-            mem.push(s_step, (x - cbar) - r)
-            continue
-
-        fbe = fx - float(g @ r) + rsq / (2.0 * gamma) + f2val(xbar)
-        d = mem.direction(r)
+        # Cheap proxy first: ||x - T_gamma x||/gamma bounds the unit-step
+        # residual from above for gamma <= 1, so this trigger cannot fire
+        # too early.  When it fires, the prox point is verified with the
+        # gradient the proximal-gradient step below takes there anyway.
+        near_stationary = inf_norm(r) <= cfg.tol * min(1.0, gamma)
 
         accepted = False
-        tau = 1.0
-        for _ in range(12):
-            cand = x - (1.0 - tau) * r + tau * d
-            fc = float(smooth_value(cand))
-            if np.isfinite(fc):
-                gc = grad(cand)
-                cbar = prox(cand - gamma * gc, gamma)
-                rc = cand - cbar
-                fbe_c = (fc - float(gc @ rc) + float(rc @ rc) / (2.0 * gamma)
-                         + f2val(cbar))
-                if fbe_c <= fbe - sigma * rsq / (2.0 * gamma):
-                    accepted = True
-                    break
-            tau *= 0.5
+        if not near_stationary:
+            fbe = fx - float(g @ r) + rsq / (2.0 * gamma) + f2val(xbar)
+            d = mem.direction(r)
+            tau = 1.0
+            for _ in range(12):
+                cand = x - (1.0 - tau) * r + tau * d
+                fc = float(smooth_value(cand))
+                if np.isfinite(fc):
+                    gc = grad(cand)
+                    cbar = prox(cand - gamma * gc, gamma)
+                    rc = cand - cbar
+                    fbe_c = (fc - float(gc @ rc) + float(rc @ rc) / (2.0 * gamma)
+                             + f2val(cbar))
+                    if fbe_c <= fbe - sigma * rsq / (2.0 * gamma):
+                        accepted = True
+                        break
+                tau *= 0.5
         if not accepted:
-            # Plain proximal-gradient fallback.
+            # Plain proximal-gradient step.
             cand, fc = xbar, fbar
             gc = grad(cand)
+            if near_stationary:
+                res = inf_norm(cand - prox(cand - gc, 1.0))
+                if res <= cfg.tol:
+                    return InnerResult(x=cand, residual=res, iterations=iterations,
+                                       grad_evals=n_grad, converged=True)
             cbar = prox(cand - gamma * gc, gamma)
             rc = cand - cbar
 

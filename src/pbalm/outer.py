@@ -143,15 +143,6 @@ class OuterConfig:
         return cfg
 
 
-# One row per outer iteration; this is the CSV surface of the bench CLI.
-TRACE_COLUMNS = (
-    "k", "f1_value", "f2_value", "eq_infeas", "ineq_infeas", "E_norm",
-    "stationarity", "rho_max", "nu_max", "gamma", "inner_iters",
-    "inner_grad_evals", "inner_converged", "reference_reset",
-    "al_bound_slack",
-)
-
-
 @dataclass
 class IterationRecord:
     k: int
@@ -169,6 +160,10 @@ class IterationRecord:
     inner_converged: bool
     reference_reset: bool
     al_bound_slack: float
+
+
+# One row per outer iteration; this is the CSV surface of the bench CLI.
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(IterationRecord))
 
 
 @dataclass
@@ -218,24 +213,23 @@ def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     f2_x = prob.f2_value(x)
     if not np.isfinite(f2_x):
         return x0
+    # The proximal term centered at x itself is exactly 0.
+    lhs = eval_al(prob, x, mult, pen.rho, pen.nu) + f2_x
+    rhs = eval_objective(prob, x0)
     if cfg.variant is Variant.PBALM:
-        lhs = eval_pal(prob, x, mult, pen, x) + f2_x
         d = x0 - x
-        rhs = eval_objective(prob, x0) + float(d @ d) / (2.0 * pen.gamma)
-    else:
-        lhs = eval_al(prob, x, mult, pen.rho, pen.nu) + f2_x
-        rhs = eval_objective(prob, x0)
+        rhs += float(d @ d) / (2.0 * pen.gamma)
     return x if lhs <= rhs else x0
 
 
 def update_lambda(mult: Multipliers, rho: Penalty, h_x: np.ndarray) -> Multipliers:
-    lam = mult.lam + as_weight(rho, h_x.size) * h_x if h_x.size else mult.lam.copy()
+    lam = mult.lam + rho * h_x if h_x.size else mult.lam.copy()
     return Multipliers(lam=lam, mu=mult.mu.copy())
 
 
 def update_mu(mult: Multipliers, nu: Penalty, g_x: np.ndarray) -> Multipliers:
     if g_x.size:
-        mu = np.maximum(0.0, mult.mu + as_weight(nu, g_x.size) * g_x)
+        mu = np.maximum(0.0, mult.mu + nu * g_x)
     else:
         mu = mult.mu.copy()
     return Multipliers(lam=mult.lam.copy(), mu=mu)
@@ -305,12 +299,20 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     place, and ``stop_when`` must not modify ``x`` either.
 
     A non-finite value inside a subproblem solve ends the run with status
-    NUMERICAL_FAILURE at the last finite outer iterate."""
+    NUMERICAL_FAILURE at the last finite outer iterate.
+
+    The penalties ``rho0``/``nu0`` (scalars or per-constraint vectors) and
+    ``gamma0`` are checked here, once: a non-positive entry raises
+    ValueError and a vector of the wrong length DimensionMismatchError."""
     prob = dataclasses.replace(prob, h=_last_point(prob.h), g=_last_point(prob.g))
     cfg = cfg.resolved()
     x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point has non-finite entries")
+    as_weight(cfg.rho0, prob.p)
+    as_weight(cfg.nu0, prob.m)
+    if cfg.gamma0 <= 0:
+        raise ValueError("gamma0 must be strictly positive")
 
     if cfg.require_feasible_start and not check_feasible(prob, x0, cfg.feas_tol):
         raise InfeasibleStartError(
@@ -325,6 +327,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     h_x = prob.h(x) if prob.p else np.zeros(0)
     g_x = prob.g(x) if prob.m else np.zeros(0)
     E = compute_E(g_x, mult.mu, pen.nu)
+    f_x0 = eval_objective(prob, x0)
 
     trace: List[IterationRecord] = []
     diagnostics: List[DiagnosticRecord] = []
@@ -356,6 +359,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         h_new = prob.h(x_new) if prob.p else np.zeros(0)
         g_new = prob.g(x_new) if prob.m else np.zeros(0)
         f2_new = prob.f2_value(x_new)
+        val_new = smooth_value(x_new)
 
         # Bound slack of the augmented Lagrangian at the new iterate
         # relative to the feasible-start anchor (meaningless for the
@@ -363,19 +367,16 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         if cfg.variant is Variant.ALM:
             al_bound_slack = np.nan
         else:
-            lhs = smooth_value(x_new) + f2_new
-            rhs = eval_objective(prob, x0)
+            rhs = f_x0
             if proximal:
                 d0 = x0 - x_hat
                 rhs += float(d0 @ d0) / (2.0 * pen.gamma)
-            al_bound_slack = lhs - rhs
+            al_bound_slack = val_new + f2_new - rhs
 
-        rho_vec = pen.rho_vec(prob.p)
-        nu_vec = pen.nu_vec(prob.m)
-        gamma_k = pen.gamma
+        rho, nu, gamma_k = pen.rho, pen.nu, pen.gamma
 
-        mult_new = update_mu(update_lambda(mult, pen.rho, h_new), pen.nu, g_new)
-        E_new = compute_E(g_new, mult.mu, pen.nu)
+        mult_new = update_mu(update_lambda(mult, rho, h_new), nu, g_new)
+        E_new = compute_E(g_new, mult.mu, nu)
 
         # Exact identity: the scaled dual step equals the primal residuals.
         # The steps are recomputed from the same quantities the updates used
@@ -383,9 +384,9 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         # pollute the check.
         dual_lhs = 0.0
         if prob.p:
-            dual_lhs += float(np.sum(((rho_vec * h_new) / rho_vec) ** 2))
+            dual_lhs += float(np.sum(((rho * h_new) / rho) ** 2))
         if prob.m:
-            dual_lhs += float(np.sum(np.maximum(g_new, -(mult.mu / nu_vec)) ** 2))
+            dual_lhs += float(np.sum(np.maximum(g_new, -(mult.mu / nu)) ** 2))
         dual_rhs = float(h_new @ h_new) + float(E_new @ E_new)
         dual_err = _rel_err(dual_lhs, dual_rhs) if max(dual_lhs, dual_rhs) > 0 else 0.0
 
@@ -397,17 +398,10 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             grad_sub = grad_sub - (x_new - x_hat) / gamma_k
         grad_err = inf_norm(grad_L - grad_sub) / (1.0 + inf_norm(grad_L))
 
-        if proximal:
-            cs_err = _rel_err(
-                eval_pal(prob, x_new, mult, pen, x_hat),
-                eval_pal_completed_square(prob, x_new, mult, pen, x_hat),
-            )
-        else:
-            pen_cs = PenaltyState(rho=pen.rho, nu=pen.nu, gamma=1.0)
-            cs_err = _rel_err(
-                eval_pal(prob, x_new, mult, pen_cs, x_new),
-                eval_pal_completed_square(prob, x_new, mult, pen_cs, x_new),
-            )
+        # Centered at x_new, the proximal term of the completed square is
+        # exactly 0, which matches the non-proximal subproblem value.
+        cs_err = _rel_err(val_new, eval_pal_completed_square(
+            prob, x_new, mult, pen, x_hat if proximal else x_new))
 
         stationarity = natural_residual(prob, x_new, grad_L)
 
@@ -418,18 +412,18 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         )
 
         # Penalty schedule (steps 5-7).
-        rho_next = update_rho(pen.rho, inf_norm(h_new), inf_norm(h_x), cfg, k)
-        nu_next = update_nu(pen.nu, eps_E, inf_norm(E), cfg, k)
+        rho_next = update_rho(rho, inf_norm(h_new), inf_norm(h_x), cfg, k)
+        nu_next = update_nu(nu, eps_E, inf_norm(E), cfg, k)
         gamma_next = update_gamma(x0, x_new, cfg, k) if proximal else gamma_k
 
         mult_sq_prev = 0.0
         mult_sq = 0.0
         if prob.p:
-            mult_sq_prev += float(np.sum(mult.lam**2 / (2.0 * rho_vec)))
-            mult_sq += float(np.sum(mult_new.lam**2 / (2.0 * as_weight(rho_next, prob.p))))
+            mult_sq_prev += float(np.sum(mult.lam**2 / (2.0 * rho)))
+            mult_sq += float(np.sum(mult_new.lam**2 / (2.0 * rho_next)))
         if prob.m:
-            mult_sq_prev += float(np.sum(mult.mu**2 / (2.0 * nu_vec)))
-            mult_sq += float(np.sum(mult_new.mu**2 / (2.0 * as_weight(nu_next, prob.m))))
+            mult_sq_prev += float(np.sum(mult.mu**2 / (2.0 * nu)))
+            mult_sq += float(np.sum(mult_new.mu**2 / (2.0 * nu_next)))
         d_hat = x_new - x_hat
         prox_step_sq = float(d_hat @ d_hat) / (2.0 * gamma_k) if proximal else 0.0
 
@@ -441,8 +435,8 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             ineq_infeas=ineq_infeas,
             E_norm=eps_E,
             stationarity=stationarity,
-            rho_max=float(np.max(np.asarray(pen.rho))),
-            nu_max=float(np.max(np.asarray(pen.nu))),
+            rho_max=float(np.max(rho)),
+            nu_max=float(np.max(nu)),
             gamma=gamma_k,
             inner_iters=res.iterations,
             inner_grad_evals=cum_grad,
@@ -460,8 +454,8 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             prox_step_sq=prox_step_sq,
             lemma_a_ok=lemma_a_ok,
             mu_nonneg=bool(np.all(mult_new.mu >= 0)),
-            rho_increased=rho_next is not pen.rho,
-            nu_increased=nu_next is not pen.nu,
+            rho_increased=rho_next is not rho,
+            nu_increased=nu_next is not nu,
             inner_converged=res.converged,
         ))
 

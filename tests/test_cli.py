@@ -150,3 +150,22 @@ class TestRuns:
 def test_fixture_paths_exist():
     for name in ("tiny_eq", "tiny_box"):
         assert os.path.exists(fixture_path(name))
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+
+@pytest.mark.parametrize("fixture", ["tiny_eq", "tiny_box"])
+def test_fixture_traces_match_golden(tmp_path, fixture):
+    """The CLI reproduces the checked-in traces byte for byte.  They were
+    written on x86-64 with numpy's bundled OpenBLAS by
+    ``pbalm --fixture NAME --variant pbalm,balm,alm --phase1 --out
+    tests/data/golden/NAME.csv``; a change that alters any iterate shows
+    here."""
+    out = tmp_path / f"{fixture}.csv"
+    assert main(["--fixture", fixture, "--variant", "pbalm,balm,alm",
+                 "--phase1", "--out", str(out)]) == 0
+    for variant in ("pbalm", "balm", "alm"):
+        name = f"{fixture}.{variant}.csv"
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

@@ -92,6 +92,22 @@ class TestContract:
         assert res.converged
         assert res.iterations == 0
 
+    def test_returned_point_is_never_the_start_array(self):
+        # The solver evaluates at x0 itself (no start copy); a returned
+        # point must still be a distinct array, even with zero iterations.
+        x0 = np.zeros(2)
+        seen = []
+
+        def value(x):
+            seen.append(x)
+            return 0.5 * float(x @ x)
+
+        res = solve_subproblem(value, lambda x: x, identity_prox, x0,
+                               InnerConfig(tol=1e-6))
+        assert seen[0] is x0
+        assert res.x is not x0
+        np.testing.assert_array_equal(res.x, x0)
+
     def test_residual_recomputed_fresh(self):
         a = np.array([1.0, 2.0])
         res = solve_subproblem(

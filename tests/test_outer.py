@@ -19,8 +19,8 @@ from pbalm.outer import (
     update_nu,
     update_rho,
 )
-from pbalm.problem import check_feasible
-from pbalm.problem_gen import gen_basis_pursuit
+from pbalm.problem import DimensionMismatchError, check_feasible
+from pbalm.problem_gen import gen_basis_pursuit, make_random_eq_qp, qp_problem
 from conftest import (box_qp_1d, eq_qp_1d, exp50_problem, ineq_problem,
                       quadratic_problem, simplex_qp)
 
@@ -329,3 +329,44 @@ class TestOneEvaluationPerPoint:
         res = run(prob, np.zeros(2), tight_cfg())
         assert res.status is SolveStatus.EPS_KKT
         assert calls["g"] <= 2.1 * res.trace[-1].inner_grad_evals
+
+    def test_inequality_start_point_shares_the_outer_evaluation(self):
+        # The inner solve starts at the reference point itself, where the
+        # outer loop has just evaluated g, so its first value and gradient
+        # need no evaluation of their own.
+        prob, calls = counting(ineq_problem())
+        res = run(prob, np.zeros(2), tight_cfg())
+        assert res.status is SolveStatus.EPS_KKT
+        assert calls["g"] <= 1.25 * res.trace[-1].inner_grad_evals
+
+
+class TestPenaltyCheckAtEntry:
+    """``run`` checks rho0, nu0 and gamma0 once, before the first
+    evaluation."""
+
+    def test_nonpositive_rho0(self):
+        with pytest.raises(ValueError):
+            run(eq_qp_1d(), np.array([1.0]), OuterConfig(rho0=0.0))
+
+    def test_misshaped_rho0(self):
+        with pytest.raises(DimensionMismatchError):
+            run(eq_qp_1d(), np.array([1.0]), OuterConfig(rho0=np.ones(3)))
+
+    def test_negative_nu0(self):
+        with pytest.raises(ValueError):
+            run(ineq_problem(), np.zeros(2), OuterConfig(nu0=-1.0))
+
+    def test_nonpositive_gamma0_without_prox(self):
+        with pytest.raises(ValueError):
+            run(eq_qp_1d(), np.array([1.0]),
+                OuterConfig(variant=Variant.BALM, gamma0=0.0))
+
+    def test_vector_penalties_broadcast_like_scalars(self):
+        qp = make_random_eq_qp(6, 2, seed=0)
+        prob = qp_problem(qp)
+        x0 = qp.feasible_point(np.random.default_rng(0))
+        scalar = run(prob, x0, tight_cfg(rho0=2e-3))
+        vector = run(prob, x0, tight_cfg(rho0=np.full(2, 2e-3)))
+        assert scalar.status is SolveStatus.EPS_KKT
+        np.testing.assert_array_equal(scalar.x, vector.x)
+        assert scalar.trace == vector.trace
