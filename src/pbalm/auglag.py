@@ -43,9 +43,6 @@ class Multipliers:
     lam: np.ndarray  # equality multipliers, length p
     mu: np.ndarray   # inequality multipliers, length m, kept >= 0
 
-    def copy(self) -> "Multipliers":
-        return Multipliers(self.lam.copy(), self.mu.copy())
-
 
 @dataclass
 class PenaltyState:
@@ -73,17 +70,6 @@ class KktReport:
             and self.ineq_infeas <= e
             and self.complementarity_ok
         )
-
-
-def eval_lagrangian(prob: ProblemSpec, x: np.ndarray, mult: Multipliers) -> float:
-    """f1(x) + <lam, h(x)> + <mu, g(x)>."""
-    x = prob.check_x(x)
-    val = prob.f1(x)
-    if prob.p:
-        val += float(mult.lam @ prob.h(x))
-    if prob.m:
-        val += float(mult.mu @ prob.g(x))
-    return val
 
 
 def grad_lagrangian(prob: ProblemSpec, x: np.ndarray, mult: Multipliers) -> np.ndarray:

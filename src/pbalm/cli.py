@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from typing import List, Optional
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .inner import InnerConfig
 from .outer import (
+    FEAS_TOL,
     GrowthFn,
     InfeasibleStartError,
     IterationRecord,
@@ -99,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer", type=int, default=outer.max_outer)
     p.add_argument("--inner-memory", type=int, default=inner.memory)
     p.add_argument("--max-inner", type=int, default=inner.max_iters)
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed; falls back to $PBALM_SEED, then 0")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--f1-star", type=float, default=None,
                    help="known optimal value, enables the suboptimality gap "
                         "in the summary")
@@ -111,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", default=None,
                    help="trace output path; '-' or omitted writes no trace")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run the requested variants in parallel")
     return p
 
 
@@ -179,18 +176,6 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
     return result, summary
 
 
-def _run_variant(payload):
-    # Module-level so ProcessPoolExecutor can pickle it.
-    args, variant_name, delta, seed = payload
-    prob, x0 = _build_problem(args, seed)
-    variant = Variant(variant_name)
-    cfg = _make_config(args, variant, delta, seed)
-    if args.phase1:
-        x0 = find_feasible(prob, x0, tol=1e-8, cfg=cfg)
-    result, summary = _solve_one(prob, x0, cfg, args, variant_name)
-    return result.trace, summary, result.status.value
-
-
 def _build_problem(args, seed: int):
     if args.basis_pursuit:
         p_dim, n_dim, k = _parse_bp_dims(args.basis_pursuit, build_parser())
@@ -212,28 +197,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         if v not in ("pbalm", "balm", "alm"):
             parser.error(f"unknown variant {v!r}")
 
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("PBALM_SEED", "0"))
     delta = args.delta
     if delta is None:
         delta = 1e-6 if args.basis_pursuit else 1.0
 
-    payloads = [(args, v, delta, seed) for v in variants]
+    # Solve every variant before writing any trace, so an error exits 1
+    # with no file written.
     outputs = []
     try:
-        if args.jobs > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                outputs = list(pool.map(_run_variant, payloads))
-        else:
-            outputs = [_run_variant(p) for p in payloads]
+        prob, x0 = _build_problem(args, args.seed)
+        for v in variants:
+            cfg = _make_config(args, Variant(v), delta, args.seed)
+            start = x0
+            if args.phase1:
+                start = find_feasible(prob, x0, tol=FEAS_TOL, cfg=cfg)
+            outputs.append(_solve_one(prob, start, cfg, args, v))
     except (OSError, QpsParseError, InfeasibleStartError, Phase1Failed,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     worst = 0
-    for (trace, summary, status), variant_name in zip(outputs, variants):
+    for (result, summary), variant_name in zip(outputs, variants):
         if args.out and args.out != "-":
             out_path = args.out
             if len(variants) > 1:
@@ -250,22 +235,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "gamma0": args.gamma0,
                 "stop_tol": args.stop_tol,
                 "max_outer": args.max_outer,
-                "seed": seed,
+                "seed": args.seed,
                 "source": args.qps or args.basis_pursuit or args.fixture,
             }
             try:
                 with open(out_path, "w", newline="") as fh:
                     if args.format == "csv":
-                        fh.write(trace_to_csv(trace))
+                        fh.write(trace_to_csv(result.trace))
                     else:
-                        fh.write(trace_to_json(trace, config_dict, summary))
+                        fh.write(trace_to_json(result.trace, config_dict, summary))
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
         parts = [f"{key}={_fmt(val) if isinstance(val, float) else val}"
                  for key, val in summary.items()]
         print(" ".join(parts))
-        if status != SolveStatus.EPS_KKT.value:
+        if result.status is not SolveStatus.EPS_KKT:
             worst = max(worst, 2)
     return worst
 

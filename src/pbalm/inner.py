@@ -9,7 +9,7 @@ test.  Deterministic: identical inputs produce identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,16 +25,12 @@ class InnerConfig:
     memory: int = 20
     max_iters: int = 2000
     tol: float = 1e-6
-    step_init: Union[float, str] = "auto"
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ValueError("sufficient_decrease must lie in (0, 1)")
 
 
 @dataclass
@@ -79,6 +75,17 @@ class _LbfgsMemory:
             b = float(y @ q) / sy
             q += (a - b) * s
         return -q
+
+
+def _norm2(v: np.ndarray) -> float:
+    """||v||_2, scaled by ||v||_inf first when the plain sum of squares
+    overflows."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if np.isfinite(n):
+        return n
+    s = inf_norm(v)
+    return s * np.linalg.norm(v / s) if np.isfinite(s) else s
 
 
 def _check_finite(*values) -> None:
@@ -130,21 +137,16 @@ def solve_subproblem(
         return InnerResult(x=x.copy(), residual=res0, iterations=0,
                            grad_evals=n_grad, converged=True)
 
-    if cfg.step_init == "auto":
-        # One finite-difference probe of the local Lipschitz constant.
-        gnorm = np.linalg.norm(g)
-        d = g / gnorm if gnorm > 0 else np.ones_like(x) / np.sqrt(x.size)
-        eps = 1e-6 * (1.0 + inf_norm(x))
-        g_probe = grad(x + eps * d)
-        lip = np.linalg.norm(g_probe - g) / eps
-        gamma = 0.95 / lip if lip > 1e-12 else 1.0
-    else:
-        gamma = float(cfg.step_init)
-        if gamma <= 0:
-            raise ValueError("step_init must be positive")
+    # One finite-difference probe of the local Lipschitz constant.
+    gnorm = _norm2(g)
+    d = g / gnorm if gnorm > 0 else np.ones_like(x) / np.sqrt(x.size)
+    eps = 1e-6 * (1.0 + inf_norm(x))
+    g_probe = grad(x + eps * d)
+    lip = _norm2(g_probe - g) / eps
+    gamma = 0.95 / lip if lip > 1e-12 else 1.0
 
     gamma_min = 1e-14
-    sigma = cfg.sufficient_decrease
+    sigma = 1e-4  # sufficient decrease of the envelope line search
     mem = _LbfgsMemory(cfg.memory)
 
     best_x = x.copy()

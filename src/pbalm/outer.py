@@ -88,6 +88,11 @@ class GrowthFn:
         return self.value * float(k ** self.alpha)
 
 
+# Feasibility tolerance of the start point that P-BALM and BALM require.
+# A phase-I point meant for run() must be feasible to this tolerance.
+FEAS_TOL = 1e-8
+
+
 def default_tau_schedule(k: int) -> float:
     return 0.1 / (k + 1) ** 1.1
 
@@ -113,7 +118,6 @@ class OuterConfig:
     require_feasible_start: bool = True
     multiplier_init: str = "gaussian"  # "zeros" or "gaussian"
     seed: int = 0
-    feas_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0 < self.beta < 1:
@@ -202,11 +206,12 @@ class SolveResult:
 
 
 def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
-                     pen: PenaltyState, x0: np.ndarray,
+                     pen: PenaltyState, x0: np.ndarray, f_x0: float,
                      cfg: OuterConfig) -> np.ndarray:
     """Reference-point test: keep the current iterate x while the augmented
-    Lagrangian there stays below the bound anchored at the feasible x0;
-    otherwise fall back to x0.  Returns x0 itself (same object) on reset.
+    Lagrangian there stays below the bound anchored at the feasible x0,
+    whose objective value is f_x0; otherwise fall back to x0.  Returns x0
+    itself (same object) on reset.
     """
     if cfg.variant is Variant.ALM:
         return x
@@ -215,7 +220,7 @@ def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
         return x0
     # The proximal term centered at x itself is exactly 0.
     lhs = eval_al(prob, x, mult, pen.rho, pen.nu) + f2_x
-    rhs = eval_objective(prob, x0)
+    rhs = f_x0
     if cfg.variant is Variant.PBALM:
         d = x0 - x
         rhs += float(d @ d) / (2.0 * pen.gamma)
@@ -314,9 +319,9 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     if cfg.gamma0 <= 0:
         raise ValueError("gamma0 must be strictly positive")
 
-    if cfg.require_feasible_start and not check_feasible(prob, x0, cfg.feas_tol):
+    if cfg.require_feasible_start and not check_feasible(prob, x0, FEAS_TOL):
         raise InfeasibleStartError(
-            f"initial point is not feasible within {cfg.feas_tol}"
+            f"initial point is not feasible within {FEAS_TOL}"
         )
 
     mult = _init_multipliers(prob, cfg)
@@ -337,7 +342,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
     for k in range(cfg.max_outer):
         tau_k = cfg.tau_schedule(k)
-        x_hat = select_reference(prob, x, mult, pen, x0, cfg)
+        x_hat = select_reference(prob, x, mult, pen, x0, f_x0, cfg)
         reset = x_hat is x0
 
         if proximal:

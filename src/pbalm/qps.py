@@ -13,7 +13,7 @@ always describes a minimization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,12 +109,20 @@ def _num(token: str, line_no: int) -> float:
         ) from None
 
 
-def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
-    """Parse a QPS/MPS document (string or iterable of lines)."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
+def _pairs(tokens: List[str], section: str,
+           line_no: int) -> Iterator[Tuple[str, float]]:
+    """The (row, value) pairs after the first field of a COLUMNS, RHS or
+    RANGES line, each value checked as it is reached."""
+    if len(tokens) < 3 or len(tokens) % 2 == 0:
+        raise QpsParseError(f"{section} entry needs (row, value) pairs",
+                            line_no)
+    for rname, vtok in zip(tokens[1::2], tokens[2::2]):
+        yield rname, _num(vtok, line_no)
+
+
+def parse_qps(text: str) -> QpData:
+    """Parse a QPS/MPS document."""
+    lines = text.splitlines()
 
     name = ""
     row_sense: dict = {}          # row name -> sense
@@ -186,12 +194,8 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
             cname = tokens[0]
             if cname not in col_index:
                 col_index[cname] = len(col_index)
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                raise QpsParseError("COLUMNS entry needs (row, value) pairs",
-                                    line_no)
             j = col_index[cname]
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                v = _num(vtok, line_no)
+            for rname, v in _pairs(tokens, section, line_no):
                 if rname == obj_row:
                     q_lin[j] = q_lin.get(j, 0.0) + v
                 elif rname in row_index:
@@ -204,10 +208,7 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
                     )
 
         elif section == "RHS":
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                raise QpsParseError("RHS entry needs (row, value) pairs", line_no)
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                v = _num(vtok, line_no)
+            for rname, v in _pairs(tokens, section, line_no):
                 if rname == obj_row:
                     obj_const = -v  # MPS convention for the objective shift
                 elif rname in row_index:
@@ -218,15 +219,12 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
                     )
 
         elif section == "RANGES":
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                raise QpsParseError("RANGES entry needs (row, value) pairs",
-                                    line_no)
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
+            for rname, v in _pairs(tokens, section, line_no):
                 if rname not in row_index:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
                     )
-                ranges[rname] = _num(vtok, line_no)
+                ranges[rname] = v
 
         elif section == "BOUNDS":
             btype = tokens[0].upper()
@@ -343,18 +341,11 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
     if quad_section_seen == "QUADOBJ":
         q_entries = [(i, j, v) for (i, j), v in sorted(quad_lower.items())]
     elif quad_section_seen == "QMATRIX":
-        seen = set()
-        for (i, j) in sorted(quad_full):
-            lo = (max(i, j), min(i, j))
-            if lo in seen:
-                continue
-            seen.add(lo)
-            if lo[0] == lo[1]:
-                q_entries.append((lo[0], lo[1], quad_full[(i, j)]))
-            else:
-                sym = 0.5 * (quad_full.get((lo[0], lo[1]), 0.0)
-                             + quad_full.get((lo[1], lo[0]), 0.0))
-                q_entries.append((lo[0], lo[1], sym))
+        # 0.5 * (v + v) == v, so the diagonal needs no special case.
+        lower = sorted({(max(i, j), min(i, j)) for i, j in quad_full})
+        q_entries = [(i, j, 0.5 * (quad_full.get((i, j), 0.0)
+                                   + quad_full.get((j, i), 0.0)))
+                     for i, j in lower]
 
     q_vec = np.zeros(n)
     for j, v in q_lin.items():
@@ -382,7 +373,7 @@ def parse_qps(text: Union[str, Iterable[str]]) -> QpData:
 
 def parse_qps_file(path) -> QpData:
     with open(path, "r") as fh:
-        return parse_qps(fh)
+        return parse_qps(fh.read())
 
 
 def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:

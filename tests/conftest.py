@@ -85,11 +85,12 @@ def ineq_problem():
     )
 
 
-def exp50_problem():
-    """min exp(50 x); the inner solver's steps from x = 10 overflow."""
+def neg_exp_problem():
+    """min -exp(x), unbounded below; the inner solver's steps from x = 10
+    overflow."""
     return ProblemSpec(
         n=1,
-        f1=lambda x: float(np.exp(50.0 * x[0])),
-        grad_f1=lambda x: 50.0 * np.exp(50.0 * x),
-        name="exp50",
+        f1=lambda x: float(-np.exp(x[0])),
+        grad_f1=lambda x: -np.exp(x),
+        name="neg-exp",
     )

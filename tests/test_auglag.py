@@ -8,7 +8,6 @@ from pbalm.auglag import (
     as_weight,
     compute_E,
     eval_al,
-    eval_lagrangian,
     eval_pal,
     eval_pal_completed_square,
     grad_al,
@@ -59,38 +58,6 @@ class TestAsWeight:
 def test_inf_norm_empty_is_zero():
     assert inf_norm(np.zeros(0)) == 0.0
     assert inf_norm(np.array([-3.0, 2.0])) == 3.0
-
-
-class TestEvalLagrangian:
-    def test_zero_multipliers(self):
-        prob = quadratic_problem()
-        x = np.array([1.0, 2.0])
-        mult = Multipliers(np.zeros(0), np.zeros(0))
-        assert eval_lagrangian(prob, x, mult) == prob.f1(x)
-
-    def test_single_inner_product(self):
-        prob = ProblemSpec(
-            n=1, p=1,
-            f1=lambda x: 0.0, grad_f1=lambda x: np.zeros(1),
-            h=lambda x: np.array([2.0]),
-            jac_h_transpose_apply=lambda x, y: np.zeros(1),
-        )
-        mult = Multipliers(np.array([3.0]), np.zeros(0))
-        assert eval_lagrangian(prob, np.zeros(1), mult) == 6.0
-
-    def test_hand_value(self):
-        # f1 = x^2, h = x - 1, g = -x at x = 1 with lambda=5, mu=2:
-        # 1 + 5*0 + 2*(-1) = -1
-        prob = ProblemSpec(
-            n=1, p=1, m=1,
-            f1=lambda x: float(x @ x), grad_f1=lambda x: 2.0 * x,
-            h=lambda x: x - 1.0,
-            jac_h_transpose_apply=lambda x, y: y.copy(),
-            g=lambda x: -x,
-            jac_g_transpose_apply=lambda x, y: -y,
-        )
-        mult = Multipliers(np.array([5.0]), np.array([2.0]))
-        assert eval_lagrangian(prob, np.array([1.0]), mult) == pytest.approx(-1.0)
 
 
 class TestEvalPal:

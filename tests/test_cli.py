@@ -7,7 +7,7 @@ import pytest
 from pbalm import cli
 from pbalm.cli import build_parser, fixture_path, main, trace_to_csv
 from pbalm.outer import TRACE_COLUMNS, IterationRecord
-from conftest import exp50_problem
+from conftest import neg_exp_problem
 
 
 def _bp_args(tmp_path, fmt="csv", extra=()):
@@ -95,7 +95,7 @@ class TestRuns:
     def test_numerical_failure_writes_trace_exit_2(self, tmp_path,
                                                    monkeypatch, capsys):
         monkeypatch.setattr(cli, "_build_problem",
-                            lambda args, seed: (exp50_problem(), np.array([10.0])))
+                            lambda args, seed: (neg_exp_problem(), np.array([10.0])))
         out = tmp_path / "t.csv"
         with np.errstate(over="ignore"):
             code = main(["--fixture", "tiny_eq", "--variant", "pbalm",
@@ -117,29 +117,19 @@ class TestRuns:
         assert (tmp_path / "t.balm.csv").exists()
         assert len(capsys.readouterr().out.splitlines()) == 2
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        argv = ["--basis-pursuit", "p=20,n=50,k=5",
-                "--variant", "pbalm,balm", "--seed", "0"]
-        serial = tmp_path / "s.csv"
-        parallel = tmp_path / "p.csv"
-        assert main(argv + ["--out", str(serial)]) == 0
-        assert main(argv + ["--out", str(parallel), "--jobs", "2"]) == 0
-        for v in ("pbalm", "balm"):
-            a = (tmp_path / f"s.{v}.csv").read_bytes()
-            b = (tmp_path / f"p.{v}.csv").read_bytes()
-            assert a == b
+    def test_problem_built_once_for_all_variants(self, monkeypatch, capsys):
+        calls = []
+        build = cli._build_problem
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PBALM_SEED", "3")
-        args_env, out_env = _bp_args(tmp_path)
-        args_env.remove("--seed")
-        args_env.remove("3")
-        out_env2 = tmp_path / "explicit.csv"
-        args_exp, _ = _bp_args(tmp_path)
-        args_exp[args_exp.index(str(out_env)) ] = str(out_env2)
-        assert main(args_env) == 0
-        assert main(args_exp) == 0
-        assert out_env.read_bytes() == out_env2.read_bytes()
+        def counting_build(args, seed):
+            calls.append(seed)
+            return build(args, seed)
+
+        monkeypatch.setattr(cli, "_build_problem", counting_build)
+        assert main(["--basis-pursuit", "p=20,n=50,k=5",
+                     "--variant", "pbalm,balm,alm", "--seed", "0"]) == 0
+        assert calls == [0]
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_suboptimality_gap_reported(self, capsys):
         assert main(["--basis-pursuit", "p=20,n=50,k=5", "--variant", "balm",

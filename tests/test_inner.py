@@ -19,10 +19,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             InnerConfig(tol=0.0)
 
-    def test_sufficient_decrease_range(self):
-        with pytest.raises(ValueError):
-            InnerConfig(sufficient_decrease=1.5)
-
 
 class TestConvergence:
     def test_shifted_quadratic(self):
@@ -175,16 +171,19 @@ class TestContract:
                 InnerConfig(tol=1e-6),
             )
 
-    def test_explicit_step_init(self):
-        a = np.array([1.0])
-        res = solve_subproblem(
-            lambda x: 0.5 * float((x - a) @ (x - a)),
-            lambda x: x - a,
-            identity_prox,
-            np.zeros(1),
-            InnerConfig(tol=1e-8, step_init=1.0),
-        )
-        assert res.converged
+    def test_step_probe_survives_huge_gradient(self):
+        # ||g||^2 overflows here; a plain 2-norm would make the first
+        # step 1 and jump to -1e160.
+        prox_points = []
+
+        def value(x):
+            prox_points.append(x)
+            return 0.5e160 * float(x @ x)
+
+        res = solve_subproblem(value, lambda x: 1e160 * x, identity_prox,
+                               np.ones(2), InnerConfig(tol=1e-8))
+        assert res.converged and res.iterations == 3
+        np.testing.assert_allclose(prox_points[1], [0.05, 0.05], rtol=1e-6)
 
     def test_grad_evals_exact_count(self):
         calls = [0]

@@ -19,9 +19,9 @@ from pbalm.outer import (
     update_nu,
     update_rho,
 )
-from pbalm.problem import DimensionMismatchError, check_feasible
+from pbalm.problem import DimensionMismatchError, check_feasible, eval_objective
 from pbalm.problem_gen import gen_basis_pursuit, make_random_eq_qp, qp_problem
-from conftest import (box_qp_1d, eq_qp_1d, exp50_problem, ineq_problem,
+from conftest import (box_qp_1d, eq_qp_1d, ineq_problem, neg_exp_problem,
                       quadratic_problem, simplex_qp)
 
 
@@ -146,7 +146,8 @@ class TestSelectReference:
     def _select(self, prob, x, lam, x0, cfg, gamma=0.1):
         mult = Multipliers(np.asarray(lam, dtype=float), np.zeros(prob.m))
         pen = PenaltyState(rho=1e-3, nu=1e-3, gamma=gamma)
-        return select_reference(prob, x, mult, pen, x0, cfg)
+        return select_reference(prob, x, mult, pen, x0,
+                                eval_objective(prob, x0), cfg)
 
     def test_keeps_iterate_at_start(self):
         prob = simplex_qp()
@@ -168,6 +169,23 @@ class TestSelectReference:
         cfg = OuterConfig(variant=Variant.BALM).resolved()
         x = x0.copy()
         assert self._select(prob, x, [0.0], x0, cfg) is x
+
+    def test_objective_evaluated_only_at_iterate(self):
+        prob = simplex_qp()
+        f1_args = []
+
+        def f1(z):
+            f1_args.append(z)
+            return prob.f1(z)
+
+        counted = dataclasses.replace(prob, f1=f1)
+        x0 = np.array([1.0, 1.0])
+        x = np.array([1.5, 0.5])
+        cfg = OuterConfig().resolved()
+        mult = Multipliers(np.zeros(1), np.zeros(0))
+        pen = PenaltyState(rho=1e-3, nu=1e-3, gamma=0.1)
+        select_reference(counted, x, mult, pen, x0, prob.f1(x0), cfg)
+        assert len(f1_args) == 1 and f1_args[0] is x
 
     def test_alm_never_resets(self):
         prob = simplex_qp()
@@ -215,8 +233,8 @@ class TestRun:
             run(quadratic_problem(), np.array([0.0, np.nan]), tight_cfg())
 
     def test_overflow_returns_numerical_failure(self):
-        # The inner solver's steps on exp(50 x) from x0 = 10 overflow.
-        prob = exp50_problem()
+        # The inner solver's steps on -exp(x) from x0 = 10 overflow.
+        prob = neg_exp_problem()
         with np.errstate(over="ignore"):
             res = run(prob, np.array([10.0]), tight_cfg())
         assert res.status is SolveStatus.NUMERICAL_FAILURE

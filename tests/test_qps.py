@@ -177,6 +177,31 @@ class TestFormatDetails:
         # full matrix given; stored lower triangle averages the pair
         assert qp.Q.entries == [(0, 0, 2.0), (1, 0, 1.0), (1, 1, 2.0)]
 
+    def test_qmatrix_entries_in_quadobj_order(self):
+        head = (
+            "NAME T\n"
+            "ROWS\n N  OBJ\n"
+            "COLUMNS\n"
+            "    X1        OBJ       0.0\n"
+            "    X2        OBJ       0.0\n"
+            "    X3        OBJ       0.0\n"
+        )
+        qmatrix = parse_qps(
+            head + "QMATRIX\n"
+            "    X1        X3        1.0\n"
+            "    X2        X2        4.0\n"
+            "    X3        X1        3.0\n"
+            "ENDATA\n"
+        )
+        quadobj = parse_qps(
+            head + "QUADOBJ\n"
+            "    X3        X1        2.0\n"
+            "    X2        X2        4.0\n"
+            "ENDATA\n"
+        )
+        assert qmatrix.Q.entries == [(1, 1, 4.0), (2, 0, 2.0)]
+        assert qmatrix.Q.entries == quadobj.Q.entries
+
     def test_quadobj_offdiag_counted_once(self):
         qp = parse_qps(
             "NAME T\n"
