@@ -169,7 +169,8 @@ def solve_subproblem(
             gamma *= 0.5
             mem.reset()
 
-        obj_bar = fbar + f2val(xbar)
+        f2bar = f2val(xbar)
+        obj_bar = fbar + f2bar
         if obj_bar < best_obj:
             best_obj = obj_bar
             best_x = xbar.copy()
@@ -182,7 +183,7 @@ def solve_subproblem(
 
         accepted = False
         if not near_stationary:
-            fbe = fx - float(g @ r) + rsq / (2.0 * gamma) + f2val(xbar)
+            fbe = fx - float(g @ r) + rsq / (2.0 * gamma) + f2bar
             d = mem.direction(r)
             tau = 1.0
             for _ in range(12):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .outer import OuterConfig, run
+from .outer import OuterConfig, Variant, run
 from .problem import ProblemSpec, check_feasible
 
 
@@ -78,7 +78,12 @@ def build_phase1(base: ProblemSpec) -> Phase1Spec:
 def find_feasible(base: ProblemSpec, x_start: np.ndarray, tol: float,
                   cfg: OuterConfig) -> np.ndarray:
     """Return a point satisfying check_feasible(base, ., tol), or raise
-    Phase1Failed.  Short-circuits when x_start is already feasible."""
+    Phase1Failed.  Short-circuits when x_start is already feasible.
+
+    A P-BALM cfg runs the lifted solve as BALM.  The proximal term serves
+    bounds that start from a feasible point, which the lifted solve does
+    not have, and it ties the slack s to the previous iterate, so s would
+    shrink only slowly.  BALM and ALM keep their own variant."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     x_start = base.check_x(x_start)
@@ -98,6 +103,8 @@ def find_feasible(base: ProblemSpec, x_start: np.ndarray, tol: float,
     tau = min(tol / 10.0, 1e-7)
     cfg1 = dataclasses.replace(
         cfg,
+        variant=(Variant.BALM if cfg.variant is Variant.PBALM
+                 else cfg.variant),
         require_feasible_start=False,
         stop_tol=min(cfg.stop_tol, tol / 2.0),
         tau_schedule=lambda k: tau,

@@ -7,11 +7,15 @@ triangle, off-diagonals counted once and mirrored) or a QMATRIX section
 (full matrix, taken as given); mixing the two is rejected.  Fortran-style
 exponents (1.0D+01) are accepted in every numeric field.  OBJSENSE MAX,
 in the section or the one-line form, negates the objective, so QpData
-always describes a minimization.
+always describes a minimization.  Bounds are checked after the whole
+BOUNDS section, so a column's records may come in any order; as in most
+MPS readers, a negative UP on a column whose lower bound no record sets
+makes that lower bound -inf, with a warning.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -306,11 +310,18 @@ def parse_qps(text: str) -> QpData:
                     row_lower[i] = b + r
 
     # Variable bounds: MPS default [0, +inf), then BOUNDS records on top.
+    # Bounds are checked once all records are in, so the order of a
+    # column's records does not matter.
     var_lower = np.zeros(n)
     var_upper = np.full(n, np.inf)
     fixed_at: dict = {}
+    last_record: dict = {}  # column index -> (name, line of last record)
+    lower_set = set()       # columns whose lower bound a record set
     for btype, cname, val, line_no in bounds:
         j = col_index[cname]
+        last_record[j] = (cname, line_no)
+        if btype in ("LO", "FX", "FR", "MI"):
+            lower_set.add(j)
         if btype == "UP":
             var_upper[j] = val
         elif btype == "LO":
@@ -329,6 +340,14 @@ def parse_qps(text: str) -> QpData:
             var_lower[j] = -np.inf
         elif btype == "PL":
             var_upper[j] = np.inf
+    for j, (cname, line_no) in last_record.items():
+        if var_upper[j] < 0 and j not in lower_set:
+            warnings.warn(
+                f"line {line_no}: column {cname!r} has a negative upper "
+                "bound and no lower bound record; its lower bound is -inf",
+                stacklevel=2,
+            )
+            var_lower[j] = -np.inf
         if var_lower[j] > var_upper[j]:
             raise CrossedBoundsError(
                 f"crossed bounds on column {cname!r}: "
@@ -407,6 +426,11 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     A_lo = A[lo_rows]
     l = qp.row_lower[lo_rows]
     A_eq_T, A_up_T, A_lo_T = A_eq.T, A_up.T, A_lo.T
+    # g as one product: negation is exact, so G @ x + c equals the two-
+    # product form bit for bit.  J^T stays split: stacking it would
+    # reorder its sums.
+    G = sp.vstack([A_up, -A_lo], format="csr")
+    c_g = np.concatenate([-u, l])
 
     p = len(eq_rows)
     m = len(up_rows) + len(lo_rows)
@@ -425,7 +449,7 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
         return A_eq_T @ y
 
     def g(x):
-        return np.concatenate([A_up @ x - u, l - A_lo @ x])
+        return G @ x + c_g
 
     def jac_g_T(x, y):
         return A_up_T @ y[:n_up] - A_lo_T @ y[n_up:]

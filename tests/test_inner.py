@@ -199,6 +199,27 @@ class TestContract:
         )
         assert res.grad_evals == calls[0]
 
+    def test_f2_value_once_per_point(self):
+        """f2 is evaluated at most once per point: the prox point's value
+        serves both the best-iterate test and the envelope."""
+        f2, prox = box_problem_terms(np.zeros(3), np.ones(3))
+        c = np.array([2.0, -1.0, 0.5])
+        D = np.array([1.0, 10.0, 100.0])
+        points = []
+
+        def counting_f2(x):
+            points.append(x)  # keeps every argument alive, so ids differ
+            return f2(x)
+
+        res = solve_subproblem(
+            lambda x: 0.5 * float((x - c) @ (D * (x - c))),
+            lambda x: D * (x - c),
+            prox, np.full(3, 0.9), InnerConfig(tol=1e-10),
+            nonsmooth_value=counting_f2,
+        )
+        assert res.converged and res.iterations > 1
+        assert len({id(p) for p in points}) == len(points)
+
 
 def reference_two_loop(pairs, r):
     """Textbook two-loop recursion over (s, y) pairs, oldest first, with

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from pbalm.outer import OuterConfig
+from pbalm import phase1
+from pbalm.cli import fixture_path
+from pbalm.outer import FEAS_TOL, OuterConfig, Variant
 from pbalm.phase1 import Phase1Failed, build_phase1, find_feasible
 from pbalm.problem import ProblemSpec, box_problem_terms, check_feasible
+from pbalm.qps import parse_qps_file, qp_to_problem
 from conftest import fd_grad, rel_err, eq_qp_1d, ineq_problem, simplex_qp
 
 
@@ -104,3 +107,43 @@ class TestFindFeasible:
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):
             find_feasible(eq_qp_1d(), np.zeros(1), tol=0.0, cfg=OuterConfig())
+
+
+def _tiny_eq():
+    prob = qp_to_problem(parse_qps_file(fixture_path("tiny_eq")))
+    return prob, prob.prox_f2(np.zeros(prob.n), 1.0)
+
+
+class TestLiftedVariant:
+    """The lifted solve starts infeasible, so P-BALM's proximal term has no
+    bound to serve there; it runs as BALM.  BALM and ALM keep their own."""
+
+    def _lifted_solves(self, monkeypatch, variant):
+        real_run = phase1.run
+        calls = []
+
+        def recording_run(prob, z0, cfg, **kw):
+            result = real_run(prob, z0, cfg, **kw)
+            calls.append((cfg, result))
+            return result
+
+        monkeypatch.setattr(phase1, "run", recording_run)
+        prob, x0 = _tiny_eq()
+        x = find_feasible(prob, x0, tol=FEAS_TOL,
+                          cfg=OuterConfig(variant=variant))
+        return x, calls
+
+    def test_pbalm_lifted_solve_is_balm(self, monkeypatch):
+        x, calls = self._lifted_solves(monkeypatch, Variant.PBALM)
+        (cfg, result), = calls
+        assert cfg.variant is Variant.BALM
+        assert len(result.trace) == 1
+        assert result.trace[-1].inner_grad_evals <= 20
+        x_balm, _ = self._lifted_solves(monkeypatch, Variant.BALM)
+        np.testing.assert_array_equal(x, x_balm)
+
+    @pytest.mark.parametrize("variant", [Variant.BALM, Variant.ALM])
+    def test_other_variants_keep_their_own(self, monkeypatch, variant):
+        _, calls = self._lifted_solves(monkeypatch, variant)
+        (cfg, _), = calls
+        assert cfg.variant is variant

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pbalm.qps import (
     CrossedBoundsError,
@@ -9,6 +10,7 @@ from pbalm.qps import (
     MalformedNumericFieldError,
     MissingSectionError,
     MixedQuadSectionsError,
+    QpData,
     QpsParseError,
     SparseTriplets,
     UndeclaredRowOrColumnError,
@@ -251,6 +253,70 @@ class TestFormatDetails:
         m = t.to_csr()
         assert m[0, 0] == 3.0
         assert m[1, 1] == 5.0
+
+
+def _bounds_qps(records):
+    """One column X1 (lines 1-5), then a BOUNDS section whose records start
+    on line 7."""
+    return ("NAME T\nROWS\n N  OBJ\n"
+            "COLUMNS\n    X1        OBJ       1.0\n"
+            "BOUNDS\n" + "".join(f" {r}\n" for r in records) + "ENDATA\n")
+
+
+class TestBounds:
+    def test_records_checked_after_the_section(self):
+        qp = parse_qps(_bounds_qps(["UP BND X1 -1", "LO BND X1 -2"]))
+        np.testing.assert_array_equal(qp.var_lower, [-2.0])
+        np.testing.assert_array_equal(qp.var_upper, [-1.0])
+
+    def test_crossed_reported_at_columns_last_record(self):
+        with pytest.raises(CrossedBoundsError) as info:
+            parse_qps(_bounds_qps(["LO BND X1 2", "UP BND X1 1",
+                                   "LO BND X1 3"]))
+        assert info.value.line_no == 9
+
+    def test_negative_up_without_lower_record_frees_lower(self):
+        with pytest.warns(UserWarning, match="line 7"):
+            qp = parse_qps(_bounds_qps(["UP BND X1 -1"]))
+        np.testing.assert_array_equal(qp.var_lower, [-INF])
+        np.testing.assert_array_equal(qp.var_upper, [-1.0])
+
+    def test_negative_up_keeps_a_recorded_lower(self):
+        with pytest.raises(CrossedBoundsError) as info:
+            parse_qps(_bounds_qps(["UP BND X1 -1", "LO BND X1 0"]))
+        assert info.value.line_no == 8
+
+
+class TestAssembly:
+    def test_g_equals_two_product_form_bitwise(self):
+        """g is one stacked product; it must equal [A_up x - u; l - A_lo x]
+        bit for bit."""
+        rng = np.random.default_rng(0)
+        n, rows = 30, 24
+        A = sp.random(rows, n, density=0.3, random_state=1, format="coo")
+        lower = rng.standard_normal(rows)
+        upper = lower + rng.uniform(0.0, 2.0, rows)
+        upper[:6] = lower[:6]      # equality rows
+        lower[6:12] = -INF         # upper only
+        upper[12:18] = INF         # lower only
+        qp = QpData(
+            name="random", n=n, m_rows=rows,
+            Q=SparseTriplets(n, n), q=np.zeros(n), c=0.0,
+            A=SparseTriplets(rows, n, list(zip(A.row, A.col, A.data))),
+            row_lower=lower, row_upper=upper,
+            var_lower=np.full(n, -INF), var_upper=np.full(n, INF),
+        )
+        A = A.tocsr()
+        for eq_as_h in (False, True):
+            prob = qp_to_problem(qp, eq_as_h=eq_as_h)
+            kept = ~(lower == upper) if eq_as_h else np.ones(rows, bool)
+            up = np.flatnonzero(np.isfinite(upper) & kept)
+            lo = np.flatnonzero(np.isfinite(lower) & kept)
+            A_up, u, A_lo, l = A[up], upper[up], A[lo], lower[lo]
+            for _ in range(200):
+                x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                ref = np.concatenate([A_up @ x - u, l - A_lo @ x])
+                assert np.array_equal(prob.g(x), ref)
 
 
 # max x1 over [0, 1] in the two OBJSENSE forms; the optimum is x1 = 1.
