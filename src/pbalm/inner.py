@@ -24,13 +24,10 @@ class NonFiniteValueError(FloatingPointError):
 class InnerConfig:
     memory: int = 20
     max_iters: int = 2000
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -101,17 +98,20 @@ def solve_subproblem(
     smooth_grad: Callable[[np.ndarray], np.ndarray],
     prox: Callable[[np.ndarray, float], np.ndarray],
     x0: np.ndarray,
+    tol: float,
     cfg: InnerConfig,
     nonsmooth_value: Optional[Callable[[np.ndarray], float]] = None,
 ) -> InnerResult:
     """Minimize smooth_value + nonsmooth until the natural residual
-    ||x - prox(x - grad, 1)||_inf drops below cfg.tol.
+    ||x - prox(x - grad, 1)||_inf drops below tol > 0.
 
     The returned residual is always recomputed from a fresh gradient at
     the returned point.  grad_evals counts every smooth_grad call.  The
     returned point is never the ``x0`` array itself, and ``x0`` is not
     modified.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     n_grad = 0
 
     def grad(z: np.ndarray) -> np.ndarray:
@@ -133,7 +133,7 @@ def solve_subproblem(
 
     # Already tau-stationary: return immediately with zero iterations.
     res0 = inf_norm(x - prox(x - g, 1.0))
-    if res0 <= cfg.tol:
+    if res0 <= tol:
         return InnerResult(x=x.copy(), residual=res0, iterations=0,
                            grad_evals=n_grad, converged=True)
 
@@ -179,7 +179,7 @@ def solve_subproblem(
         # residual from above for gamma <= 1, so this trigger cannot fire
         # too early.  When it fires, the prox point is verified with the
         # gradient the proximal-gradient step below takes there anyway.
-        near_stationary = inf_norm(r) <= cfg.tol * min(1.0, gamma)
+        near_stationary = inf_norm(r) <= tol * min(1.0, gamma)
 
         accepted = False
         if not near_stationary:
@@ -205,7 +205,7 @@ def solve_subproblem(
             gc = grad(cand)
             if near_stationary:
                 res = inf_norm(cand - prox(cand - gc, 1.0))
-                if res <= cfg.tol:
+                if res <= tol:
                     return InnerResult(x=cand, residual=res, iterations=iterations,
                                        grad_evals=n_grad, converged=True)
             cbar = prox(cand - gamma * gc, gamma)
@@ -219,4 +219,4 @@ def solve_subproblem(
     gb = grad(best_x)
     res = inf_norm(best_x - prox(best_x - gb, 1.0))
     return InnerResult(x=best_x, residual=res, iterations=iterations,
-                       grad_evals=n_grad, converged=res <= cfg.tol)
+                       grad_evals=n_grad, converged=res <= tol)

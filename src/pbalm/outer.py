@@ -47,7 +47,7 @@ from .problem import ProblemSpec, check_feasible, eval_objective
 
 
 class InfeasibleStartError(ValueError):
-    """A feasible initial point is required but x0 fails the check."""
+    """P-BALM or BALM was started at an x0 that fails the feasibility check."""
 
 
 class Variant(enum.Enum):
@@ -107,15 +107,11 @@ class OuterConfig:
     rho0: Penalty = 1e-3
     nu0: Penalty = 1e-3
     gamma0: float = 0.1
-    rho_hat: Optional[float] = None   # defaults to rho0
-    nu_hat: Optional[float] = None    # defaults to nu0
-    gamma_hat: Optional[float] = None  # defaults to gamma0
     phi: GrowthFn = field(default_factory=lambda: GrowthFn.power(4.0))
     tau_schedule: Callable[[int], float] = default_tau_schedule
     stop_tol: float = 1e-5
     max_outer: int = 300
     inner: InnerConfig = field(default_factory=InnerConfig)
-    require_feasible_start: bool = True
     multiplier_init: str = "gaussian"  # "zeros" or "gaussian"
     seed: int = 0
 
@@ -128,23 +124,9 @@ class OuterConfig:
             raise ValueError("delta must be positive")
         if self.multiplier_init not in ("zeros", "gaussian"):
             raise ValueError("multiplier_init must be 'zeros' or 'gaussian'")
-
-    def resolved(self) -> "OuterConfig":
-        """Fill the rho_hat/nu_hat/gamma_hat defaults and normalize the
-        classical-ALM baseline (phi = 0, no feasible-start requirement)."""
-        cfg = dataclasses.replace(self)
-        if cfg.variant is Variant.ALM:
-            cfg = dataclasses.replace(
-                cfg, phi=GrowthFn.zero(), require_feasible_start=False
-            )
-        scalar = lambda v: float(np.max(np.asarray(v)))
-        if cfg.rho_hat is None:
-            cfg = dataclasses.replace(cfg, rho_hat=scalar(cfg.rho0))
-        if cfg.nu_hat is None:
-            cfg = dataclasses.replace(cfg, nu_hat=scalar(cfg.nu0))
-        if cfg.gamma_hat is None:
-            cfg = dataclasses.replace(cfg, gamma_hat=cfg.gamma0)
-        return cfg
+        # The classical baseline grows its penalties geometrically only.
+        if self.variant is Variant.ALM:
+            self.phi = GrowthFn.zero()
 
 
 @dataclass
@@ -240,28 +222,29 @@ def update_mu(mult: Multipliers, nu: Penalty, g_x: np.ndarray) -> Multipliers:
     return Multipliers(lam=mult.lam.copy(), mu=mu)
 
 
-def _grow(value: Penalty, xi: float, hat: float, phi_next: float):
-    return np.maximum(xi * np.asarray(value, dtype=float), hat * phi_next)
+def _grow(value: Penalty, xi: float, initial: Penalty, phi_next: float):
+    floor = float(np.max(np.asarray(initial)))  # a vector's largest entry
+    return np.maximum(xi * np.asarray(value, dtype=float), floor * phi_next)
 
 
 def update_rho(rho: Penalty, h_new_inf: float, h_old_inf: float,
                cfg: OuterConfig, k: int) -> Penalty:
     if h_new_inf <= cfg.beta * h_old_inf:
         return rho
-    return _grow(rho, cfg.xi1, cfg.rho_hat, cfg.phi(k + 1))
+    return _grow(rho, cfg.xi1, cfg.rho0, cfg.phi(k + 1))
 
 
 def update_nu(nu: Penalty, E_new_inf: float, E_old_inf: float,
               cfg: OuterConfig, k: int) -> Penalty:
     if E_new_inf <= cfg.beta * E_old_inf:
         return nu
-    return _grow(nu, cfg.xi2, cfg.nu_hat, cfg.phi(k + 1))
+    return _grow(nu, cfg.xi2, cfg.nu0, cfg.phi(k + 1))
 
 
 def update_gamma(x0: np.ndarray, x_new: np.ndarray, cfg: OuterConfig,
                  k: int) -> float:
     d = x0 - x_new
-    return max(cfg.delta * float(d @ d), cfg.gamma_hat * cfg.phi(k + 1))
+    return max(cfg.delta * float(d @ d), cfg.gamma0 * cfg.phi(k + 1))
 
 
 def _init_multipliers(prob: ProblemSpec, cfg: OuterConfig) -> Multipliers:
@@ -308,9 +291,10 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
     The penalties ``rho0``/``nu0`` (scalars or per-constraint vectors) and
     ``gamma0`` are checked here, once: a non-positive entry raises
-    ValueError and a vector of the wrong length DimensionMismatchError."""
+    ValueError and a vector of the wrong length DimensionMismatchError.
+    P-BALM and BALM raise InfeasibleStartError unless x0 is feasible
+    within FEAS_TOL; ALM accepts any finite x0."""
     prob = dataclasses.replace(prob, h=_last_point(prob.h), g=_last_point(prob.g))
-    cfg = cfg.resolved()
     x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point has non-finite entries")
@@ -319,7 +303,9 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     if cfg.gamma0 <= 0:
         raise ValueError("gamma0 must be strictly positive")
 
-    if cfg.require_feasible_start and not check_feasible(prob, x0, FEAS_TOL):
+    x = x0.copy()  # checked, so the first iteration reuses h(x) and g(x)
+    if (cfg.variant is not Variant.ALM
+            and not check_feasible(prob, x, FEAS_TOL)):
         raise InfeasibleStartError(
             f"initial point is not feasible within {FEAS_TOL}"
         )
@@ -328,7 +314,6 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     pen = PenaltyState(rho=cfg.rho0, nu=cfg.nu0, gamma=cfg.gamma0)
     proximal = cfg.variant is Variant.PBALM
 
-    x = x0.copy()
     h_x = prob.h(x) if prob.p else np.zeros(0)
     g_x = prob.g(x) if prob.m else np.zeros(0)
     E = compute_E(g_x, mult.mu, pen.nu)
@@ -352,10 +337,10 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             smooth_value = lambda z: eval_al(prob, z, mult, pen.rho, pen.nu)
             smooth_grad = lambda z: grad_al(prob, z, mult, pen.rho, pen.nu)
 
-        inner_cfg = dataclasses.replace(cfg.inner, tol=tau_k)
         try:
             res = solve_subproblem(smooth_value, smooth_grad, prob.prox_f2,
-                                   x_hat, inner_cfg, nonsmooth_value=prob.f2_value)
+                                   x_hat, tau_k, cfg.inner,
+                                   nonsmooth_value=prob.f2_value)
         except NonFiniteValueError:
             status = SolveStatus.NUMERICAL_FAILURE
             break

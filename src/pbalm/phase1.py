@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .outer import OuterConfig, Variant, run
+from .outer import OuterConfig, Variant, _last_point, run
 from .problem import ProblemSpec, check_feasible
 
 
@@ -27,23 +27,23 @@ class Phase1Spec:
 def build_phase1(base: ProblemSpec) -> Phase1Spec:
     """Lift the base problem: variable (x, s), objective ||h(x)||^2/2 + s^2,
     inequalities g(x) - s <= 0, no equalities, f2 inherited on x with s free.
+    f1 and grad_f1 share one h per lifted point, so do not modify it in place.
     """
     n = base.n
+    h_at = _last_point(lambda z: base.h(z[:n]))
 
     def f1(z):
-        x, s = z[:n], z[n]
+        s = z[n]
         if base.p:
-            h = base.h(x)
+            h = h_at(z)
             return 0.5 * float(h @ h) + s * s
         return s * s
 
     def grad_f1(z):
-        x, s = z[:n], z[n]
         out = np.zeros(n + 1)
         if base.p:
-            h = base.h(x)
-            out[:n] = base.jac_h_transpose_apply(x, h)
-        out[n] = 2.0 * s
+            out[:n] = base.jac_h_transpose_apply(z[:n], h_at(z))
+        out[n] = 2.0 * z[n]
         return out
 
     def g(z):
@@ -80,10 +80,13 @@ def find_feasible(base: ProblemSpec, x_start: np.ndarray, tol: float,
     """Return a point satisfying check_feasible(base, ., tol), or raise
     Phase1Failed.  Short-circuits when x_start is already feasible.
 
-    A P-BALM cfg runs the lifted solve as BALM.  The proximal term serves
-    bounds that start from a feasible point, which the lifted solve does
-    not have, and it ties the slack s to the previous iterate, so s would
-    shrink only slowly.  BALM and ALM keep their own variant."""
+    The lifted start (prox(x_start), max(0, max g)) is feasible by
+    construction; Phase1Failed is raised when g is not finite there.
+
+    A P-BALM cfg runs the lifted solve as BALM.  Only feasibility of the
+    base problem matters there, and the proximal term would tie the slack
+    s to the previous iterate, so s would shrink only slowly.  BALM and
+    ALM keep their own variant."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     x_start = base.check_x(x_start)
@@ -92,20 +95,22 @@ def find_feasible(base: ProblemSpec, x_start: np.ndarray, tol: float,
 
     spec = build_phase1(base)
     x_proj = base.prox_f2(x_start, 1.0)
+    s0 = 0.0
     if base.m:
-        s0 = max(0.0, float(np.max(base.g(x_proj))))
-    else:
-        s0 = 0.0
+        g0 = base.g(x_proj)
+        if not np.all(np.isfinite(g0)):
+            raise Phase1Failed("phase-I cannot start: g is not finite at "
+                               "the projected start point")
+        s0 = max(0.0, float(np.max(g0)))
     z0 = np.concatenate([x_proj, [s0]])
 
-    # No guarantee is needed here beyond feasibility of the base problem,
-    # so the solve runs in relaxed mode with a tight inner tolerance.
+    # Only feasibility of the base problem is needed, so the solve runs
+    # with a tight inner tolerance and stops once the base point is feasible.
     tau = min(tol / 10.0, 1e-7)
     cfg1 = dataclasses.replace(
         cfg,
         variant=(Variant.BALM if cfg.variant is Variant.PBALM
                  else cfg.variant),
-        require_feasible_start=False,
         stop_tol=min(cfg.stop_tol, tol / 2.0),
         tau_schedule=lambda k: tau,
         multiplier_init="zeros",

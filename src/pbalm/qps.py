@@ -185,6 +185,8 @@ def parse_qps(text: str) -> QpData:
                 raise UnknownRowSenseError(
                     f"unknown row sense {tokens[0]!r}", line_no
                 )
+            if rname in row_sense:
+                raise QpsParseError(f"duplicate row {rname!r}", line_no)
             row_sense[rname] = sense
             if sense == "N":
                 if obj_row is None:
@@ -217,18 +219,19 @@ def parse_qps(text: str) -> QpData:
                     obj_const = -v  # MPS convention for the objective shift
                 elif rname in row_index:
                     rhs[rname] = v
-                else:
+                elif rname not in row_sense:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
                     )
 
         elif section == "RANGES":
             for rname, v in _pairs(tokens, section, line_no):
-                if rname not in row_index:
+                if rname in row_index:
+                    ranges[rname] = v
+                elif rname not in row_sense:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
                     )
-                ranges[rname] = v
 
         elif section == "BOUNDS":
             btype = tokens[0].upper()

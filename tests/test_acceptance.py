@@ -225,14 +225,14 @@ class TestCriterion5Invariants:
     def test_invariants_on_qp_runs(self, qp_results):
         results, _ = qp_results
         for name, res, prob, x_star, x0 in results:
-            cfg = tight_cfg(**VARIANTS[name]).resolved()
+            cfg = tight_cfg(**VARIANTS[name])
             self._check_run(res, prob, x0, cfg, f_lb=prob.f1(x_star))
 
     def test_invariants_on_bp_runs(self, bp_results):
         _, prob, x_feasible, out, _ = bp_results
         for name, res in out.items():
             cfg = OuterConfig(delta=1e-6, max_outer=200,
-                              **VARIANTS[name]).resolved()
+                              **VARIANTS[name])
             self._check_run(res, prob, x_feasible, cfg, f_lb=0.0)
         print("criterion 5: PASS")
 
@@ -250,9 +250,9 @@ class TestCriterion6PenaltySchedule:
             if name != "pbalm-4":
                 continue
             for k, r_k, r_next in self._firing_rho(res):
-                cfg = tight_cfg(**VARIANTS[name]).resolved()
+                cfg = tight_cfg(**VARIANTS[name])
                 expected = max(cfg.xi1 * r_k,
-                               cfg.rho_hat * float((k + 1) ** 4))
+                               cfg.rho0 * float((k + 1) ** 4))
                 assert r_next == expected, (k, r_next, expected)
                 checked += 1
         assert checked > 0, "no firing iterations observed"

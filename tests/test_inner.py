@@ -17,7 +17,8 @@ class TestConfigValidation:
 
     def test_tol_positive(self):
         with pytest.raises(ValueError):
-            InnerConfig(tol=0.0)
+            solve_subproblem(lambda x: 0.5 * float(x @ x), lambda x: x,
+                             identity_prox, np.ones(2), 0.0, InnerConfig())
 
 
 class TestConvergence:
@@ -28,7 +29,7 @@ class TestConvergence:
             lambda x: x - a,
             identity_prox,
             np.zeros(3),
-            InnerConfig(tol=1e-8),
+            1e-8, InnerConfig(),
         )
         assert res.converged
         assert res.residual <= 1e-8
@@ -41,7 +42,7 @@ class TestConvergence:
             lambda x: D * x,
             identity_prox,
             np.array([1.0, 1.0]),
-            InnerConfig(tol=1e-8),
+            1e-8, InnerConfig(),
         )
         assert res.converged
         assert np.max(np.abs(res.x)) <= 1e-8
@@ -55,7 +56,7 @@ class TestConvergence:
             lambda x: x - c,
             prox,
             np.zeros(2),
-            InnerConfig(tol=1e-8),
+            1e-8, InnerConfig(),
         )
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-7)
@@ -71,7 +72,7 @@ class TestConvergence:
             ])
 
         res = solve_subproblem(f, grad, identity_prox, np.array([-1.0, 1.0]),
-                               InnerConfig(tol=1e-7))
+                               1e-7, InnerConfig())
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-4)
 
@@ -83,7 +84,7 @@ class TestContract:
             lambda x: x,
             identity_prox,
             np.zeros(2),
-            InnerConfig(tol=1e-6),
+            1e-6, InnerConfig(),
         )
         assert res.converged
         assert res.iterations == 0
@@ -99,7 +100,7 @@ class TestContract:
             return 0.5 * float(x @ x)
 
         res = solve_subproblem(value, lambda x: x, identity_prox, x0,
-                               InnerConfig(tol=1e-6))
+                               1e-6, InnerConfig())
         assert seen[0] is x0
         assert res.x is not x0
         np.testing.assert_array_equal(res.x, x0)
@@ -111,7 +112,7 @@ class TestContract:
             lambda x: x - a,
             identity_prox,
             np.zeros(2),
-            InnerConfig(tol=1e-6),
+            1e-6, InnerConfig(),
         )
         # the reported residual must match an independent recomputation
         fresh = np.max(np.abs(res.x - (res.x - (res.x - a))))
@@ -124,7 +125,7 @@ class TestContract:
             lambda x: D * x,
             identity_prox,
             np.array([1.0, 1.0]),
-            InnerConfig(tol=1e-14, max_iters=3),
+            1e-14, InnerConfig(max_iters=3),
         )
         assert not res.converged
         assert res.iterations == 3
@@ -141,7 +142,7 @@ class TestContract:
             return 0.5 * float(x @ (Q @ x)) + float(q @ x)
 
         res = solve_subproblem(f, lambda x: Q @ x + q, identity_prox, x0,
-                               InnerConfig(tol=1e-9))
+                               1e-9, InnerConfig())
         assert f(res.x) <= f(x0)
 
     def test_deterministic(self):
@@ -153,7 +154,7 @@ class TestContract:
                 lambda x: (x - a) + 0.4 * x**3,
                 identity_prox,
                 np.ones(3),
-                InnerConfig(tol=1e-9),
+                1e-9, InnerConfig(),
             )
 
         r1, r2 = solve(), solve()
@@ -168,7 +169,7 @@ class TestContract:
                 lambda x: np.array([np.nan]),
                 identity_prox,
                 np.zeros(1),
-                InnerConfig(tol=1e-6),
+                1e-6, InnerConfig(),
             )
 
     def test_step_probe_survives_huge_gradient(self):
@@ -181,7 +182,7 @@ class TestContract:
             return 0.5e160 * float(x @ x)
 
         res = solve_subproblem(value, lambda x: 1e160 * x, identity_prox,
-                               np.ones(2), InnerConfig(tol=1e-8))
+                               np.ones(2), 1e-8, InnerConfig())
         assert res.converged and res.iterations == 3
         np.testing.assert_allclose(prox_points[1], [0.05, 0.05], rtol=1e-6)
 
@@ -195,7 +196,7 @@ class TestContract:
 
         res = solve_subproblem(
             lambda x: 0.5 * float((x - a) @ (x - a)),
-            grad, identity_prox, np.zeros(2), InnerConfig(tol=1e-8),
+            grad, identity_prox, np.zeros(2), 1e-8, InnerConfig(),
         )
         assert res.grad_evals == calls[0]
 
@@ -214,7 +215,7 @@ class TestContract:
         res = solve_subproblem(
             lambda x: 0.5 * float((x - c) @ (D * (x - c))),
             lambda x: D * (x - c),
-            prox, np.full(3, 0.9), InnerConfig(tol=1e-10),
+            prox, np.full(3, 0.9), 1e-10, InnerConfig(),
             nonsmooth_value=counting_f2,
         )
         assert res.converged and res.iterations > 1

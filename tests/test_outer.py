@@ -61,16 +61,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             OuterConfig(xi1=0.5)
 
-    def test_resolved_defaults(self):
-        cfg = OuterConfig(rho0=2e-3, nu0=3e-3, gamma0=0.2).resolved()
-        assert cfg.rho_hat == 2e-3
-        assert cfg.nu_hat == 3e-3
-        assert cfg.gamma_hat == 0.2
-
-    def test_alm_normalization(self):
-        cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0).resolved()
+    def test_alm_growth_is_zero(self):
+        cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0)
         assert cfg.phi == GrowthFn.zero()
-        assert not cfg.require_feasible_start
+
+    def test_field_names(self):
+        """Every setting is listed here, so adding one changes this test."""
+        assert [f.name for f in dataclasses.fields(OuterConfig)] == [
+            "variant", "beta", "xi1", "xi2", "delta", "rho0", "nu0",
+            "gamma0", "phi", "tau_schedule", "stop_tol", "max_outer",
+            "inner", "multiplier_init", "seed"]
+        assert [f.name for f in dataclasses.fields(InnerConfig)] == [
+            "memory", "max_iters"]
 
 
 class TestMultiplierUpdates:
@@ -106,38 +108,48 @@ class TestMultiplierUpdates:
 
 
 class TestPenaltyUpdates:
+    def test_floors_are_initial_values(self):
+        # phi(1) = 1, so a violation at k = 0 lifts each penalty to its
+        # floor; a vector rho0's floor is its largest entry.
+        cfg = OuterConfig(rho0=np.array([2e-3, 5e-3]), nu0=3e-3, gamma0=0.2)
+        np.testing.assert_array_equal(
+            update_rho(np.full(2, 1e-4), 1.0, 1.0, cfg, 0), [5e-3, 5e-3])
+        assert update_nu(1e-4, 1.0, 1.0, cfg, 0) == 3e-3
+        x0 = np.zeros(1)
+        assert update_gamma(x0, x0, cfg, 0) == 0.2
+
     def test_rho_unchanged_on_decrease(self):
-        cfg = OuterConfig(beta=0.5).resolved()
+        cfg = OuterConfig(beta=0.5)
         assert update_rho(1e-3, 0.4, 1.0, cfg, 0) == 1e-3
 
     def test_rho_power_growth(self):
-        cfg = OuterConfig(rho0=1e-3, xi1=1.0, phi=GrowthFn.power(4.0)).resolved()
+        cfg = OuterConfig(rho0=1e-3, xi1=1.0, phi=GrowthFn.power(4.0))
         # violation at k=2: max{1 * 1e-3, 1e-3 * 3^4} = 0.081
         assert update_rho(1e-3, 1.0, 1.0, cfg, 2) == pytest.approx(0.081)
 
     def test_rho_geometric_alm(self):
         cfg = OuterConfig(variant=Variant.ALM, rho0=1e-3,
-                          xi1=10.0, xi2=10.0).resolved()
+                          xi1=10.0, xi2=10.0)
         assert update_rho(1e-3, 1.0, 1.0, cfg, 2) == pytest.approx(0.01)
 
     def test_nu_zero_new_never_grows(self):
-        cfg = OuterConfig().resolved()
+        cfg = OuterConfig()
         assert update_nu(1e-3, 0.0, 5.0, cfg, 3) == 1e-3
         assert update_nu(1e-3, 0.0, 0.0, cfg, 3) == 1e-3
 
     def test_nu_power_growth(self):
-        cfg = OuterConfig(nu0=1e-3, xi2=1.0, phi=GrowthFn.power(12.0)).resolved()
+        cfg = OuterConfig(nu0=1e-3, xi2=1.0, phi=GrowthFn.power(12.0))
         # violation at k=1: 1e-3 * 2^12 = 4.096
         assert update_nu(1e-3, 1.0, 0.1, cfg, 1) == pytest.approx(4.096)
 
     def test_gamma_distance_dominates(self):
-        cfg = OuterConfig(delta=1.0, gamma0=0.1, phi=GrowthFn.power(4.0)).resolved()
+        cfg = OuterConfig(delta=1.0, gamma0=0.1, phi=GrowthFn.power(4.0))
         x0 = np.zeros(1)
         x = np.array([2.0])  # squared distance 4; phi term 0.1 * 2^4 = 1.6
         assert update_gamma(x0, x, cfg, 1) == pytest.approx(4.0)
 
     def test_gamma_phi_dominates_at_start(self):
-        cfg = OuterConfig(delta=1.0, gamma0=0.1, phi=GrowthFn.power(4.0)).resolved()
+        cfg = OuterConfig(delta=1.0, gamma0=0.1, phi=GrowthFn.power(4.0))
         x0 = np.array([1.0])
         assert update_gamma(x0, x0, cfg, 1) == pytest.approx(0.1 * 16.0)
 
@@ -152,21 +164,21 @@ class TestSelectReference:
     def test_keeps_iterate_at_start(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
-        cfg = OuterConfig().resolved()
+        cfg = OuterConfig()
         x = x0.copy()
         assert self._select(prob, x, [0.0], x0, cfg) is x
 
     def test_falls_back_on_inflated_multiplier(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
-        cfg = OuterConfig().resolved()
+        cfg = OuterConfig()
         x = np.array([3.0, 0.0])  # feasible but far; huge lambda blows up the AL
         assert self._select(prob, x, [1e9], x0, cfg) is x0
 
     def test_balm_keeps_feasible_iterate(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
-        cfg = OuterConfig(variant=Variant.BALM).resolved()
+        cfg = OuterConfig(variant=Variant.BALM)
         x = x0.copy()
         assert self._select(prob, x, [0.0], x0, cfg) is x
 
@@ -181,7 +193,7 @@ class TestSelectReference:
         counted = dataclasses.replace(prob, f1=f1)
         x0 = np.array([1.0, 1.0])
         x = np.array([1.5, 0.5])
-        cfg = OuterConfig().resolved()
+        cfg = OuterConfig()
         mult = Multipliers(np.zeros(1), np.zeros(0))
         pen = PenaltyState(rho=1e-3, nu=1e-3, gamma=0.1)
         select_reference(counted, x, mult, pen, x0, prob.f1(x0), cfg)
@@ -190,7 +202,7 @@ class TestSelectReference:
     def test_alm_never_resets(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
-        cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0).resolved()
+        cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0)
         x = np.array([5.0, 5.0])
         assert self._select(prob, x, [1e9], x0, cfg) is x
 
@@ -227,6 +239,13 @@ class TestRun:
         prob = simplex_qp()
         with pytest.raises(InfeasibleStartError):
             run(prob, np.zeros(2), tight_cfg())
+        with pytest.raises(InfeasibleStartError):
+            run(prob, np.zeros(2), tight_cfg(variant=Variant.BALM))
+
+    def test_zero_inner_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            run(simplex_qp(), np.array([1.0, 1.0]),
+                tight_cfg(tau_schedule=lambda k: 0.0))
 
     def test_nan_start_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

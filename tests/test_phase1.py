@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pbalm.cli import fixture_path
 from pbalm.outer import FEAS_TOL, OuterConfig, Variant
 from pbalm.phase1 import Phase1Failed, build_phase1, find_feasible
 from pbalm.problem import ProblemSpec, box_problem_terms, check_feasible
+from pbalm.problem_gen import gen_basis_pursuit
 from pbalm.qps import parse_qps_file, qp_to_problem
 from conftest import fd_grad, rel_err, eq_qp_1d, ineq_problem, simplex_qp
 
@@ -104,6 +107,18 @@ class TestFindFeasible:
             find_feasible(infeasible_problem(), np.array([0.3]), tol=1e-6,
                           cfg=OuterConfig())
 
+    @pytest.mark.parametrize("g", [
+        lambda x: np.exp(1000.0 * x) - 1.0,    # +inf at x = 1
+        lambda x: np.sqrt(-x) - 1.0,           # NaN at x = 1
+    ], ids=["inf", "nan"])
+    def test_non_finite_g_at_start_fails_phase1(self, g):
+        base = ProblemSpec(n=1, m=1, f1=lambda x: 0.0,
+                           grad_f1=lambda x: np.zeros(1), g=g,
+                           jac_g_transpose_apply=lambda x, y: y.copy())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Phase1Failed, match="not finite"):
+                find_feasible(base, np.ones(1), tol=1e-6, cfg=OuterConfig())
+
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):
             find_feasible(eq_qp_1d(), np.zeros(1), tol=0.0, cfg=OuterConfig())
@@ -115,8 +130,9 @@ def _tiny_eq():
 
 
 class TestLiftedVariant:
-    """The lifted solve starts infeasible, so P-BALM's proximal term has no
-    bound to serve there; it runs as BALM.  BALM and ALM keep their own."""
+    """Only base feasibility matters in the lifted solve, and P-BALM's
+    proximal term would tie the slack to the last iterate; it runs as
+    BALM.  BALM and ALM keep their own."""
 
     def _lifted_solves(self, monkeypatch, variant):
         real_run = phase1.run
@@ -147,3 +163,39 @@ class TestLiftedVariant:
         _, calls = self._lifted_solves(monkeypatch, variant)
         (cfg, _), = calls
         assert cfg.variant is variant
+
+
+class TestSharedH:
+    """The lifted f1 and grad_f1 share one evaluation of the base h per
+    lifted point."""
+
+    def _phase1(self, monkeypatch):
+        _, prob, _ = gen_basis_pursuit(20, 50, 5, 0)
+        calls = [0]
+
+        def h(x, base_h=prob.h):
+            calls[0] += 1
+            return base_h(x)
+
+        real_run = phase1.run
+        results = []
+
+        def recording_run(*args, **kw):
+            results.append(real_run(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(phase1, "run", recording_run)
+        counted = dataclasses.replace(prob, h=h)
+        x = find_feasible(counted, np.full(prob.n, 0.3), tol=1e-8,
+                          cfg=OuterConfig(delta=1e-6))
+        return x, calls[0], results[-1].trace[-1].inner_grad_evals
+
+    def test_h_per_gradient(self, monkeypatch):
+        _, h_calls, grads = self._phase1(monkeypatch)
+        assert h_calls <= 2.1 * grads
+
+    def test_point_unchanged_by_sharing(self, monkeypatch):
+        x, _, _ = self._phase1(monkeypatch)
+        monkeypatch.setattr(phase1, "_last_point", lambda fn: fn)
+        x_unshared, _, _ = self._phase1(monkeypatch)
+        np.testing.assert_array_equal(x, x_unshared)

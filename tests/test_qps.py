@@ -247,6 +247,32 @@ class TestFormatDetails:
         prob = qp_to_problem(qp)
         assert prob.m == 1
 
+    def test_rhs_and_ranges_on_free_row_ignored(self):
+        qp = parse_qps(
+            "NAME T\n"
+            "ROWS\n N  OBJ\n N  FREEROW\n L  R1\n"
+            "COLUMNS\n"
+            "    X1        OBJ       1.0       FREEROW   5.0\n"
+            "    X1        R1        1.0\n"
+            "RHS\n    RHS       OBJ       2.0       FREEROW   7.0\n"
+            "    RHS       R1        4.0\n"
+            "RANGES\n    RNG       FREEROW   1.0       R1        1.0\n"
+            "ENDATA\n"
+        )
+        assert qp.m_rows == 1
+        assert qp.c == -2.0
+        np.testing.assert_array_equal(qp.row_lower, [3.0])
+        np.testing.assert_array_equal(qp.row_upper, [4.0])
+
+    def test_duplicate_row_rejected_at_its_line(self):
+        text = ("NAME T\n"
+                "ROWS\n E  C1\n L  C1\n G  C2\n"
+                "COLUMNS\n    X1        C1        1.0       C2        2.0\n"
+                "ENDATA\n")
+        with pytest.raises(QpsParseError, match="duplicate row 'C1'") as err:
+            parse_qps(text)
+        assert err.value.line_no == 4
+
     def test_sparse_triplets_sum_duplicates(self):
         t = SparseTriplets(nrows=2, ncols=2,
                            entries=[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0)])
