@@ -125,28 +125,23 @@ def _parse_bp_dims(spec: str, parser: argparse.ArgumentParser):
 
 
 def _make_config(args, variant: Variant, delta: float, seed: int) -> OuterConfig:
+    # OuterConfig sets the baseline's phi to 0 and checks its xi > 1.
     if variant is Variant.ALM:
-        if args.xi <= 1:
-            raise ValueError("--xi must be > 1 for the alm baseline")
-        phi = GrowthFn.zero()
-        xi1 = xi2 = args.xi
+        growth = dict(xi1=args.xi, xi2=args.xi)
     else:
-        phi = GrowthFn.power(args.alpha)
-        xi1 = xi2 = 1.0
+        growth = dict(phi=GrowthFn.power(args.alpha))
     return OuterConfig(
         variant=variant,
         beta=args.beta,
-        xi1=xi1,
-        xi2=xi2,
         delta=delta,
         rho0=args.rho0,
         nu0=args.nu0,
         gamma0=args.gamma0,
-        phi=phi,
         stop_tol=args.stop_tol,
         max_outer=args.max_outer,
         inner=InnerConfig(memory=args.inner_memory, max_iters=args.max_inner),
         seed=seed,
+        **growth,
     )
 
 
@@ -166,6 +161,11 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
         "ineq_infeas": last.ineq_infeas if last else 0.0,
         "E_norm": last.E_norm if last else 0.0,
         "stationarity": last.stationarity if last else 0.0,
+        # The penalties in force at exit: those that failed, on a
+        # numerical failure, which writes no trace row.
+        "rho_max": float(np.max(result.penalties.rho)),
+        "nu_max": float(np.max(result.penalties.nu)),
+        "gamma": result.penalties.gamma,
         "f1_value": last.f1_value if last else float(prob.f1(x0)),
         "wall_time_s": wall,
     }

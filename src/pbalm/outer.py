@@ -1,19 +1,20 @@
-"""Outer loop: proximal bounded ALM, its non-proximal variant, and a
-classical ALM baseline with geometric penalty growth.
+"""Outer loop: proximal bounded ALM (P-BALM), its non-proximal variant
+(BALM), and a classical ALM baseline with geometric penalty growth.
 
-The three variants share one loop:
+The three variants share one loop, ``run``, whose body marks the steps:
 
-  1. pick the reference point (current iterate, or the initial feasible
-     point when the augmented-Lagrangian bound test fails),
-  2. approximately minimize the (proximal) augmented Lagrangian plus the
-     proximable term, warm-started at the reference,
-  3. first-order multiplier updates,
-  4. penalty increases driven by the equality residual and the
-     complementarity surrogate, with a growth schedule phi,
-  5. (proximal variant only) proximal stepsize update.
+  1. reference point: the current iterate, or the feasible start x0 when
+     the augmented-Lagrangian bound test fails (``select_reference``),
+  2. subproblem: approximately minimize the (proximal) augmented
+     Lagrangian plus the proximable term, warm-started at the reference,
+  3. multipliers: one first-order step (``update_multipliers``),
+  4. penalties: rho and nu grow by one rule, driven by the equality
+     residual and the complementarity surrogate with a growth schedule phi
+     (``update_penalty``); P-BALM also updates its proximal stepsize,
+  5. stop on max{||h||_inf, ||E||_inf} <= stop_tol.
 
-Per-iteration algebraic identities and bound slacks are recorded in a
-diagnostics trace so test suites can assert them on every run.
+``diagnose``, beside the loop, computes the per-iteration algebraic
+identities and bound material that test suites assert on every run.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class GrowthFn:
     """Penalty growth schedule phi(k) = value * k**alpha.
 
     ``power(alpha)`` is k**alpha with alpha > 1, which satisfies the
-    bounded-ratio and superlinear-growth conditions.  ``zero`` is reserved
-    for the classical-ALM baseline where only the geometric factor acts.
+    bounded-ratio and superlinear-growth conditions.  ``zero`` is the
+    classical-ALM baseline's schedule, where only the geometric factor acts.
     """
 
     alpha: float = 0.0
@@ -75,14 +76,8 @@ class GrowthFn:
         return GrowthFn(alpha=alpha)
 
     @staticmethod
-    def constant(value: float) -> "GrowthFn":
-        if value < 0:
-            raise ValueError("constant growth requires value >= 0")
-        return GrowthFn(value=value)
-
-    @staticmethod
     def zero() -> "GrowthFn":
-        return GrowthFn.constant(0.0)
+        return GrowthFn(value=0.0)
 
     def __call__(self, k: int) -> float:
         return self.value * float(k ** self.alpha)
@@ -124,9 +119,15 @@ class OuterConfig:
             raise ValueError("delta must be positive")
         if self.multiplier_init not in ("zeros", "gaussian"):
             raise ValueError("multiplier_init must be 'zeros' or 'gaussian'")
-        # The classical baseline grows its penalties geometrically only.
+        # Either rule must make the penalties grow, or rho stays at rho0.
         if self.variant is Variant.ALM:
+            # The classical baseline grows its penalties geometrically only.
+            if self.xi1 <= 1 or self.xi2 <= 1:
+                raise ValueError("ALM needs xi1 > 1 and xi2 > 1")
             self.phi = GrowthFn.zero()
+        elif not (self.phi.value > 0 and self.phi.alpha > 1):
+            raise ValueError("P-BALM and BALM need phi = value * k**alpha "
+                             "with value > 0 and alpha > 1")
 
 
 @dataclass
@@ -154,9 +155,9 @@ TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(IterationRecord))
 
 @dataclass
 class DiagnosticRecord:
-    """Per-iteration invariant material (not part of the CSV trace)."""
+    """Per-iteration invariant material (not part of the CSV trace); the
+    record at index i belongs to the trace row at index i."""
 
-    k: int
     dual_identity_rel_err: float
     grad_identity_rel_err: float
     completed_square_rel_err: float
@@ -167,7 +168,6 @@ class DiagnosticRecord:
     mu_nonneg: bool
     rho_increased: bool
     nu_increased: bool
-    inner_converged: bool
 
 
 class SolveStatus(enum.Enum):
@@ -185,6 +185,17 @@ class SolveResult:
     kkt: KktReport
     trace: List[IterationRecord]
     diagnostics: List[DiagnosticRecord]
+    penalties: PenaltyState  # in force at exit: the failing ones on NUMERICAL_FAILURE
+
+
+def al_bound(x0: np.ndarray, center: np.ndarray, f_x0: float, gamma: float,
+             proximal: bool) -> float:
+    """Bound anchored at the feasible x0: f(x0) = f_x0, plus
+    ||x0 - center||^2/(2 gamma) for the proximal variant."""
+    if not proximal:
+        return f_x0
+    d = x0 - center
+    return f_x0 + float(d @ d) / (2.0 * gamma)
 
 
 def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
@@ -202,43 +213,25 @@ def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
         return x0
     # The proximal term centered at x itself is exactly 0.
     lhs = eval_al(prob, x, mult, pen.rho, pen.nu) + f2_x
-    rhs = f_x0
-    if cfg.variant is Variant.PBALM:
-        d = x0 - x
-        rhs += float(d @ d) / (2.0 * pen.gamma)
+    rhs = al_bound(x0, x, f_x0, pen.gamma, cfg.variant is Variant.PBALM)
     return x if lhs <= rhs else x0
 
 
-def update_lambda(mult: Multipliers, rho: Penalty, h_x: np.ndarray) -> Multipliers:
-    lam = mult.lam + rho * h_x if h_x.size else mult.lam.copy()
-    return Multipliers(lam=lam, mu=mult.mu.copy())
+def update_multipliers(mult: Multipliers, pen: PenaltyState, h: np.ndarray,
+                       g: np.ndarray) -> Multipliers:
+    """First-order step: lam + rho h and max{0, mu + nu g}."""
+    return Multipliers(lam=mult.lam + pen.rho * h,
+                       mu=np.maximum(0.0, mult.mu + pen.nu * g))
 
 
-def update_mu(mult: Multipliers, nu: Penalty, g_x: np.ndarray) -> Multipliers:
-    if g_x.size:
-        mu = np.maximum(0.0, mult.mu + nu * g_x)
-    else:
-        mu = mult.mu.copy()
-    return Multipliers(lam=mult.lam.copy(), mu=mu)
-
-
-def _grow(value: Penalty, xi: float, initial: Penalty, phi_next: float):
-    floor = float(np.max(np.asarray(initial)))  # a vector's largest entry
-    return np.maximum(xi * np.asarray(value, dtype=float), floor * phi_next)
-
-
-def update_rho(rho: Penalty, h_new_inf: float, h_old_inf: float,
-               cfg: OuterConfig, k: int) -> Penalty:
-    if h_new_inf <= cfg.beta * h_old_inf:
-        return rho
-    return _grow(rho, cfg.xi1, cfg.rho0, cfg.phi(k + 1))
-
-
-def update_nu(nu: Penalty, E_new_inf: float, E_old_inf: float,
-              cfg: OuterConfig, k: int) -> Penalty:
-    if E_new_inf <= cfg.beta * E_old_inf:
-        return nu
-    return _grow(nu, cfg.xi2, cfg.nu0, cfg.phi(k + 1))
+def update_penalty(w: Penalty, new_inf: float, old_inf: float, xi: float,
+                   w0: Penalty, cfg: OuterConfig, k: int) -> Penalty:
+    """rho or nu: ``w`` itself (same object) while new_inf <= beta old_inf,
+    else max{xi w, w0 phi(k+1)} with a vector w0's largest entry."""
+    if new_inf <= cfg.beta * old_inf:
+        return w
+    floor = float(np.max(np.asarray(w0)))
+    return np.maximum(xi * np.asarray(w, dtype=float), floor * cfg.phi(k + 1))
 
 
 def update_gamma(x0: np.ndarray, x_new: np.ndarray, cfg: OuterConfig,
@@ -258,6 +251,63 @@ def _init_multipliers(prob: ProblemSpec, cfg: OuterConfig) -> Multipliers:
 
 def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-30)
+
+
+def _weighted_sq(mult: Multipliers, pen: PenaltyState) -> float:
+    """sum lam^2/(2 rho) + sum mu^2/(2 nu)."""
+    return (float(np.sum(mult.lam**2 / (2.0 * pen.rho)))
+            + float(np.sum(mult.mu**2 / (2.0 * pen.nu))))
+
+
+def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
+             mult: Multipliers, mult_new: Multipliers, pen: PenaltyState,
+             pen_new: PenaltyState, h: np.ndarray, g: np.ndarray,
+             E: np.ndarray, value: float,
+             grad: Callable[[np.ndarray], np.ndarray], proximal: bool):
+    """(stationarity, DiagnosticRecord) of the iteration that went from
+    x_hat to x under ``mult``/``pen`` and updated them to ``mult_new``/
+    ``pen_new``: h, g, E and the subproblem ``value`` are taken at x, and
+    ``grad`` is the subproblem's gradient map."""
+    # Exact identity: the scaled dual step equals the primal residuals.
+    # The steps are recomputed from the same quantities the updates used
+    # (rho * h and max{g, -mu/nu}) so cancellation in lam' - lam cannot
+    # pollute the check.
+    dual_lhs = (float(np.sum(((pen.rho * h) / pen.rho) ** 2))
+                + float(np.sum(np.maximum(g, -(mult.mu / pen.nu)) ** 2)))
+    dual_rhs = float(h @ h) + float(E @ E)
+    dual_err = _rel_err(dual_lhs, dual_rhs) if max(dual_lhs, dual_rhs) > 0 else 0.0
+
+    # Exact identity: the Lagrangian gradient at the updated multipliers
+    # equals the subproblem gradient minus the proximal correction.
+    grad_L = grad_lagrangian(prob, x, mult_new)
+    grad_sub = grad(x)
+    if proximal:
+        grad_sub = grad_sub - (x - x_hat) / pen.gamma
+    grad_err = inf_norm(grad_L - grad_sub) / (1.0 + inf_norm(grad_L))
+
+    # Centered at x, the proximal term of the completed square is exactly
+    # 0, which matches the non-proximal subproblem value.
+    cs_err = _rel_err(value, eval_pal_completed_square(
+        prob, x, mult, pen, x_hat if proximal else x))
+
+    # Lemma (a): ||[g]_+|| <= ||E||, and mu' = 0 where g < -||E||.
+    E_inf = inf_norm(E)
+    lemma_a_ok = (inf_norm(np.maximum(0.0, g)) <= E_inf
+                  and bool(np.all(mult_new.mu[g < -E_inf] == 0.0)))
+
+    d = x - x_hat
+    return natural_residual(prob, x, grad_L), DiagnosticRecord(
+        dual_identity_rel_err=dual_err,
+        grad_identity_rel_err=grad_err,
+        completed_square_rel_err=cs_err,
+        mult_weighted_sq=_weighted_sq(mult_new, pen_new),
+        mult_weighted_sq_prev=_weighted_sq(mult, pen),
+        prox_step_sq=float(d @ d) / (2.0 * pen.gamma) if proximal else 0.0,
+        lemma_a_ok=lemma_a_ok,
+        mu_nonneg=bool(np.all(mult_new.mu >= 0)),
+        rho_increased=pen_new.rho is not pen.rho,
+        nu_increased=pen_new.nu is not pen.nu,
+    )
 
 
 def _last_point(fn: Callable[[np.ndarray], np.ndarray]
@@ -287,7 +337,8 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     place, and ``stop_when`` must not modify ``x`` either.
 
     A non-finite value inside a subproblem solve ends the run with status
-    NUMERICAL_FAILURE at the last finite outer iterate.
+    NUMERICAL_FAILURE at the last finite outer iterate; the result's
+    ``penalties`` are then the ones that failed.
 
     The penalties ``rho0``/``nu0`` (scalars or per-constraint vectors) and
     ``gamma0`` are checked here, once: a non-positive entry raises
@@ -314,9 +365,9 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     pen = PenaltyState(rho=cfg.rho0, nu=cfg.nu0, gamma=cfg.gamma0)
     proximal = cfg.variant is Variant.PBALM
 
-    h_x = prob.h(x) if prob.p else np.zeros(0)
+    h_inf = inf_norm(prob.h(x)) if prob.p else 0.0
     g_x = prob.g(x) if prob.m else np.zeros(0)
-    E = compute_E(g_x, mult.mu, pen.nu)
+    E_inf = inf_norm(compute_E(g_x, mult.mu, pen.nu))
     f_x0 = eval_objective(prob, x0)
 
     trace: List[IterationRecord] = []
@@ -327,16 +378,16 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
     for k in range(cfg.max_outer):
         tau_k = cfg.tau_schedule(k)
+        # 1. Reference point.
         x_hat = select_reference(prob, x, mult, pen, x0, f_x0, cfg)
-        reset = x_hat is x0
 
+        # 2. Subproblem, warm-started at the reference.
         if proximal:
             smooth_value = lambda z: eval_pal(prob, z, mult, pen, x_hat)
             smooth_grad = lambda z: grad_pal(prob, z, mult, pen, x_hat)
         else:
             smooth_value = lambda z: eval_al(prob, z, mult, pen.rho, pen.nu)
             smooth_grad = lambda z: grad_al(prob, z, mult, pen.rho, pen.nu)
-
         try:
             res = solve_subproblem(smooth_value, smooth_grad, prob.prox_f2,
                                    x_hat, tau_k, cfg.inner,
@@ -346,121 +397,59 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             break
         x_new = res.x
         cum_grad += res.grad_evals
-        h_new = prob.h(x_new) if prob.p else np.zeros(0)
-        g_new = prob.g(x_new) if prob.m else np.zeros(0)
+        h = prob.h(x_new) if prob.p else np.zeros(0)
+        g = prob.g(x_new) if prob.m else np.zeros(0)
+        E = compute_E(g, mult.mu, pen.nu)
+
+        # 3. Multipliers.
+        mult_new = update_multipliers(mult, pen, h, g)
+
+        # 4. Penalties, and the proximal stepsize.
+        h_new_inf, E_new_inf = inf_norm(h), inf_norm(E)
+        pen_new = PenaltyState(
+            update_penalty(pen.rho, h_new_inf, h_inf, cfg.xi1, cfg.rho0, cfg, k),
+            update_penalty(pen.nu, E_new_inf, E_inf, cfg.xi2, cfg.nu0, cfg, k),
+            update_gamma(x0, x_new, cfg, k) if proximal else pen.gamma)
+
         f2_new = prob.f2_value(x_new)
         val_new = smooth_value(x_new)
-
-        # Bound slack of the augmented Lagrangian at the new iterate
-        # relative to the feasible-start anchor (meaningless for the
-        # classical baseline, which has no such bound).
-        if cfg.variant is Variant.ALM:
-            al_bound_slack = np.nan
-        else:
-            rhs = f_x0
-            if proximal:
-                d0 = x0 - x_hat
-                rhs += float(d0 @ d0) / (2.0 * pen.gamma)
-            al_bound_slack = val_new + f2_new - rhs
-
-        rho, nu, gamma_k = pen.rho, pen.nu, pen.gamma
-
-        mult_new = update_mu(update_lambda(mult, rho, h_new), nu, g_new)
-        E_new = compute_E(g_new, mult.mu, nu)
-
-        # Exact identity: the scaled dual step equals the primal residuals.
-        # The steps are recomputed from the same quantities the updates used
-        # (rho * h and max{g, -mu/nu}) so cancellation in lam' - lam cannot
-        # pollute the check.
-        dual_lhs = 0.0
-        if prob.p:
-            dual_lhs += float(np.sum(((rho * h_new) / rho) ** 2))
-        if prob.m:
-            dual_lhs += float(np.sum(np.maximum(g_new, -(mult.mu / nu)) ** 2))
-        dual_rhs = float(h_new @ h_new) + float(E_new @ E_new)
-        dual_err = _rel_err(dual_lhs, dual_rhs) if max(dual_lhs, dual_rhs) > 0 else 0.0
-
-        # Exact identity: the Lagrangian gradient at the updated multipliers
-        # equals the subproblem gradient minus the proximal correction.
-        grad_L = grad_lagrangian(prob, x_new, mult_new)
-        grad_sub = smooth_grad(x_new)
-        if proximal:
-            grad_sub = grad_sub - (x_new - x_hat) / gamma_k
-        grad_err = inf_norm(grad_L - grad_sub) / (1.0 + inf_norm(grad_L))
-
-        # Centered at x_new, the proximal term of the completed square is
-        # exactly 0, which matches the non-proximal subproblem value.
-        cs_err = _rel_err(val_new, eval_pal_completed_square(
-            prob, x_new, mult, pen, x_hat if proximal else x_new))
-
-        stationarity = natural_residual(prob, x_new, grad_L)
-
-        eps_E = inf_norm(E_new)
-        ineq_infeas = inf_norm(np.maximum(0.0, g_new))
-        lemma_a_ok = ineq_infeas <= eps_E and (
-            prob.m == 0 or bool(np.all(mult_new.mu[g_new < -eps_E] == 0.0))
-        )
-
-        # Penalty schedule (steps 5-7).
-        rho_next = update_rho(rho, inf_norm(h_new), inf_norm(h_x), cfg, k)
-        nu_next = update_nu(nu, eps_E, inf_norm(E), cfg, k)
-        gamma_next = update_gamma(x0, x_new, cfg, k) if proximal else gamma_k
-
-        mult_sq_prev = 0.0
-        mult_sq = 0.0
-        if prob.p:
-            mult_sq_prev += float(np.sum(mult.lam**2 / (2.0 * rho)))
-            mult_sq += float(np.sum(mult_new.lam**2 / (2.0 * rho_next)))
-        if prob.m:
-            mult_sq_prev += float(np.sum(mult.mu**2 / (2.0 * nu)))
-            mult_sq += float(np.sum(mult_new.mu**2 / (2.0 * nu_next)))
-        d_hat = x_new - x_hat
-        prox_step_sq = float(d_hat @ d_hat) / (2.0 * gamma_k) if proximal else 0.0
-
+        stationarity, diag = diagnose(prob, x_new, x_hat, mult, mult_new, pen,
+                                      pen_new, h, g, E, val_new, smooth_grad,
+                                      proximal)
+        diagnostics.append(diag)
+        # The classical baseline has no augmented-Lagrangian bound.
+        slack = (np.nan if cfg.variant is Variant.ALM else val_new + f2_new
+                 - al_bound(x0, x_hat, f_x0, pen.gamma, proximal))
         trace.append(IterationRecord(
             k=k,
             f1_value=prob.f1(x_new),
             f2_value=f2_new,
-            eq_infeas=inf_norm(h_new),
-            ineq_infeas=ineq_infeas,
-            E_norm=eps_E,
+            eq_infeas=h_new_inf,
+            ineq_infeas=inf_norm(np.maximum(0.0, g)),
+            E_norm=E_new_inf,
             stationarity=stationarity,
-            rho_max=float(np.max(rho)),
-            nu_max=float(np.max(nu)),
-            gamma=gamma_k,
+            rho_max=float(np.max(pen.rho)),
+            nu_max=float(np.max(pen.nu)),
+            gamma=pen.gamma,
             inner_iters=res.iterations,
             inner_grad_evals=cum_grad,
             inner_converged=res.converged,
-            reference_reset=reset,
-            al_bound_slack=al_bound_slack,
-        ))
-        diagnostics.append(DiagnosticRecord(
-            k=k,
-            dual_identity_rel_err=dual_err,
-            grad_identity_rel_err=grad_err,
-            completed_square_rel_err=cs_err,
-            mult_weighted_sq=mult_sq,
-            mult_weighted_sq_prev=mult_sq_prev,
-            prox_step_sq=prox_step_sq,
-            lemma_a_ok=lemma_a_ok,
-            mu_nonneg=bool(np.all(mult_new.mu >= 0)),
-            rho_increased=rho_next is not rho,
-            nu_increased=nu_next is not nu,
-            inner_converged=res.converged,
+            reference_reset=x_hat is x0,
+            al_bound_slack=slack,
         ))
 
-        x, h_x, g_x, E, mult = x_new, h_new, g_new, E_new, mult_new
-        pen = PenaltyState(rho=rho_next, nu=nu_next, gamma=gamma_next)
+        x, mult, pen, h_inf, E_inf = x_new, mult_new, pen_new, h_new_inf, E_new_inf
 
+        # 5. Stop.
         if stop_when is not None:
             stopped = stop_when(x)
+        elif prob.p == 0 and prob.m == 0:
+            # Without constraints the residuals are vacuously zero and the
+            # loop is an inexact proximal point method, so stationarity is
+            # the only meaningful stopping measure.
+            stopped = stationarity <= cfg.stop_tol
         else:
-            stopped = max(inf_norm(h_x), inf_norm(E)) <= cfg.stop_tol
-            # Without constraints the residuals above are vacuously zero and
-            # the loop degenerates to an inexact proximal point method, so
-            # stationarity is the only meaningful stopping measure.
-            if prob.p == 0 and prob.m == 0:
-                stopped = stationarity <= cfg.stop_tol
+            stopped = max(h_inf, E_inf) <= cfg.stop_tol
         if stopped:
             status = SolveStatus.EPS_KKT
             break
@@ -471,4 +460,4 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     eps = max(cfg.stop_tol, tau_k)
     report = kkt_report(prob, x, mult, eps)
     return SolveResult(x=x, mult=mult, status=status, kkt=report,
-                       trace=trace, diagnostics=diagnostics)
+                       trace=trace, diagnostics=diagnostics, penalties=pen)

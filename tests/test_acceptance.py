@@ -158,10 +158,10 @@ class TestCriterion3BasisPursuit:
 
 class TestCriterion4ExactIdentities:
     def _check(self, diagnostics, label):
-        for d in diagnostics:
-            assert d.dual_identity_rel_err <= 1e-12, (label, d.k)
-            assert d.grad_identity_rel_err <= 1e-10, (label, d.k)
-            assert d.completed_square_rel_err <= 1e-10, (label, d.k)
+        for k, d in enumerate(diagnostics):
+            assert d.dual_identity_rel_err <= 1e-12, (label, k)
+            assert d.grad_identity_rel_err <= 1e-10, (label, k)
+            assert d.completed_square_rel_err <= 1e-10, (label, k)
 
     def test_identities_on_qp_runs(self, qp_results):
         results, _ = qp_results
@@ -203,7 +203,7 @@ class TestCriterion4ExactIdentities:
 
 class TestCriterion5Invariants:
     def _check_run(self, res, prob, x0, cfg, f_lb):
-        all_converged = all(d.inner_converged for d in res.diagnostics)
+        all_converged = all(r.inner_converged for r in res.trace)
         f_x0 = eval_objective(prob, x0)
         is_alm = cfg.variant is Variant.ALM
         c1 = f_x0 - f_lb + 1.0 / (2.0 * cfg.delta)
@@ -211,10 +211,11 @@ class TestCriterion5Invariants:
         nu = [r.nu_max for r in res.trace]
         assert all(a <= b for a, b in zip(rho, rho[1:]))
         assert all(a <= b for a, b in zip(nu, nu[1:]))
+        assert len(res.diagnostics) == len(res.trace)
         for rec, d in zip(res.trace, res.diagnostics):
             assert d.mu_nonneg, rec.k
             assert d.lemma_a_ok, rec.k
-            if is_alm or not d.inner_converged:
+            if is_alm or not rec.inner_converged:
                 continue
             assert rec.al_bound_slack <= 1e-6 * (1.0 + abs(f_x0)), rec.k
             if all_converged:
@@ -239,9 +240,9 @@ class TestCriterion5Invariants:
 
 class TestCriterion6PenaltySchedule:
     def _firing_rho(self, res):
-        return [(d.k, res.trace[d.k].rho_max, res.trace[d.k + 1].rho_max)
-                for d in res.diagnostics
-                if d.rho_increased and d.k + 1 < len(res.trace)]
+        return [(k, res.trace[k].rho_max, res.trace[k + 1].rho_max)
+                for k, d in enumerate(res.diagnostics)
+                if d.rho_increased and k + 1 < len(res.trace)]
 
     def test_power_schedule_exact(self, qp_results):
         results, _ = qp_results

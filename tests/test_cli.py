@@ -70,6 +70,11 @@ class TestRuns:
                      "--xi", "10"]) == 0
         assert "status=eps_kkt" in capsys.readouterr().out
 
+    def test_alm_xi_at_most_one_exit_1(self, capsys):
+        assert main(["--fixture", "tiny_eq", "--variant", "alm",
+                     "--xi", "1"]) == 1
+        assert "xi1 > 1" in capsys.readouterr().err
+
     def test_infeasible_start_without_phase1(self, capsys):
         # tiny_box projects the origin into the box, which violates the
         # G row, so the feasible-start requirement fails
@@ -102,7 +107,12 @@ class TestRuns:
                          "--out", str(out)])
         assert code == 2
         assert out.read_text() == ",".join(TRACE_COLUMNS) + "\n"
-        assert "status=numerical_failure" in capsys.readouterr().out
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert fields["status"] == "numerical_failure"
+        # The trace has no row, so the summary shows the failing penalties.
+        assert float(fields["rho_max"]) == 1e-3
+        assert float(fields["nu_max"]) == 1e-3
+        assert float(fields["gamma"]) == 0.1
 
     def test_multiple_variants_write_suffixed_traces(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

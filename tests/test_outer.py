@@ -14,10 +14,8 @@ from pbalm.outer import (
     run,
     select_reference,
     update_gamma,
-    update_lambda,
-    update_mu,
-    update_nu,
-    update_rho,
+    update_multipliers,
+    update_penalty,
 )
 from pbalm.problem import DimensionMismatchError, check_feasible, eval_objective
 from pbalm.problem_gen import gen_basis_pursuit, make_random_eq_qp, qp_problem
@@ -46,10 +44,10 @@ class TestGrowthFn:
         assert phi(1) == 1.0
 
     def test_constant_and_zero(self):
-        assert GrowthFn.constant(5.0)(17) == 5.0
+        assert GrowthFn(value=5.0)(17) == 5.0
         assert GrowthFn.zero()(17) == 0.0
         with pytest.raises(ValueError):
-            GrowthFn.constant(-1.0)
+            OuterConfig(phi=GrowthFn(alpha=4.0, value=-1.0))
 
 
 class TestConfig:
@@ -65,6 +63,23 @@ class TestConfig:
         cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0)
         assert cfg.phi == GrowthFn.zero()
 
+    # Settings under which rho never leaves rho0: on make_random_eq_qp(8,
+    # 3, 2) each ran all 300 outer iterations to max_outer_reached.
+    @pytest.mark.parametrize("variant", [Variant.PBALM, Variant.BALM])
+    def test_zero_growth_rejected(self, variant):
+        with pytest.raises(ValueError, match="alpha > 1"):
+            OuterConfig(variant=variant, phi=GrowthFn.zero())
+
+    @pytest.mark.parametrize("variant", [Variant.PBALM, Variant.BALM])
+    def test_growth_exponent_at_most_one_rejected(self, variant):
+        with pytest.raises(ValueError, match="alpha > 1"):
+            OuterConfig(variant=variant, phi=GrowthFn(alpha=1.0))
+
+    @pytest.mark.parametrize("xi", [dict(), dict(xi1=10.0), dict(xi2=10.0)])
+    def test_alm_without_geometric_growth_rejected(self, xi):
+        with pytest.raises(ValueError, match="xi1 > 1"):
+            OuterConfig(variant=Variant.ALM, **xi)
+
     def test_field_names(self):
         """Every setting is listed here, so adding one changes this test."""
         assert [f.name for f in dataclasses.fields(OuterConfig)] == [
@@ -75,36 +90,79 @@ class TestConfig:
             "memory", "max_iters"]
 
 
+def _pen(rho=1.0, nu=1.0):
+    return PenaltyState(rho=rho, nu=nu, gamma=1.0)
+
+
 class TestMultiplierUpdates:
     def test_update_lambda(self):
         mult = Multipliers(np.array([0.0]), np.zeros(0))
-        out = update_lambda(mult, 2.0, np.array([3.0]))
+        out = update_multipliers(mult, _pen(rho=2.0), np.array([3.0]), np.zeros(0))
         np.testing.assert_array_equal(out.lam, [6.0])
 
     def test_update_lambda_feasible_unchanged(self):
         mult = Multipliers(np.array([1.5]), np.zeros(0))
-        out = update_lambda(mult, 2.0, np.array([0.0]))
+        out = update_multipliers(mult, _pen(rho=2.0), np.array([0.0]), np.zeros(0))
         np.testing.assert_array_equal(out.lam, [1.5])
 
     def test_update_lambda_vector_rho(self):
         mult = Multipliers(np.zeros(2), np.zeros(0))
-        out = update_lambda(mult, np.array([1.0, 10.0]), np.array([1.0, 1.0]))
+        out = update_multipliers(mult, _pen(rho=np.array([1.0, 10.0])),
+                                 np.array([1.0, 1.0]), np.zeros(0))
         np.testing.assert_array_equal(out.lam, [1.0, 10.0])
 
     def test_update_mu_clipped(self):
         mult = Multipliers(np.zeros(0), np.array([1.0]))
-        out = update_mu(mult, 2.0, np.array([-1.0]))
+        out = update_multipliers(mult, _pen(nu=2.0), np.zeros(0), np.array([-1.0]))
         np.testing.assert_array_equal(out.mu, [0.0])
 
     def test_update_mu_growth(self):
         mult = Multipliers(np.zeros(0), np.array([1.0]))
-        out = update_mu(mult, 2.0, np.array([0.5]))
+        out = update_multipliers(mult, _pen(nu=2.0), np.zeros(0), np.array([0.5]))
         np.testing.assert_array_equal(out.mu, [2.0])
 
     def test_update_mu_stays_zero(self):
         mult = Multipliers(np.zeros(0), np.zeros(2))
-        out = update_mu(mult, 1.0, np.array([-1.0, -0.5]))
+        out = update_multipliers(mult, _pen(nu=1.0), np.zeros(0),
+                                 np.array([-1.0, -0.5]))
         np.testing.assert_array_equal(out.mu, [0.0, 0.0])
+
+    def test_both_in_one_step(self):
+        mult = Multipliers(np.array([1.0]), np.array([1.0]))
+        out = update_multipliers(mult, _pen(rho=2.0, nu=3.0),
+                                 np.array([0.5]), np.array([-1.0]))
+        np.testing.assert_array_equal(out.lam, [2.0])
+        np.testing.assert_array_equal(out.mu, [0.0])
+
+    @pytest.mark.parametrize("weight", [1e-3, np.zeros(0)],
+                             ids=["scalar", "empty-vector"])
+    def test_no_constraints_gives_empty_float_arrays(self, weight):
+        mult = Multipliers(np.zeros(0), np.zeros(0))
+        out = update_multipliers(mult, _pen(rho=weight, nu=weight),
+                                 np.zeros(0), np.zeros(0))
+        for v in (out.lam, out.mu):
+            assert v.shape == (0,) and v.dtype == np.float64
+
+    @pytest.mark.parametrize("weight", [1e-3, np.zeros(0)],
+                             ids=["scalar", "empty-vector"])
+    def test_one_kind_of_constraint(self, weight):
+        # p = 0 with an inequality, and m = 0 with an equality.
+        out = update_multipliers(Multipliers(np.zeros(0), np.ones(1)),
+                                 _pen(rho=weight), np.zeros(0), np.ones(1))
+        assert out.lam.shape == (0,) and out.lam.dtype == np.float64
+        np.testing.assert_array_equal(out.mu, [2.0])
+        out = update_multipliers(Multipliers(np.ones(1), np.zeros(0)),
+                                 _pen(nu=weight), np.ones(1), np.zeros(0))
+        assert out.mu.shape == (0,) and out.mu.dtype == np.float64
+        np.testing.assert_array_equal(out.lam, [2.0])
+
+
+def grow_rho(rho, new_inf, old_inf, cfg, k):
+    return update_penalty(rho, new_inf, old_inf, cfg.xi1, cfg.rho0, cfg, k)
+
+
+def grow_nu(nu, new_inf, old_inf, cfg, k):
+    return update_penalty(nu, new_inf, old_inf, cfg.xi2, cfg.nu0, cfg, k)
 
 
 class TestPenaltyUpdates:
@@ -113,34 +171,41 @@ class TestPenaltyUpdates:
         # floor; a vector rho0's floor is its largest entry.
         cfg = OuterConfig(rho0=np.array([2e-3, 5e-3]), nu0=3e-3, gamma0=0.2)
         np.testing.assert_array_equal(
-            update_rho(np.full(2, 1e-4), 1.0, 1.0, cfg, 0), [5e-3, 5e-3])
-        assert update_nu(1e-4, 1.0, 1.0, cfg, 0) == 3e-3
+            grow_rho(np.full(2, 1e-4), 1.0, 1.0, cfg, 0), [5e-3, 5e-3])
+        assert grow_nu(1e-4, 1.0, 1.0, cfg, 0) == 3e-3
         x0 = np.zeros(1)
         assert update_gamma(x0, x0, cfg, 0) == 0.2
 
     def test_rho_unchanged_on_decrease(self):
         cfg = OuterConfig(beta=0.5)
-        assert update_rho(1e-3, 0.4, 1.0, cfg, 0) == 1e-3
+        assert grow_rho(1e-3, 0.4, 1.0, cfg, 0) == 1e-3
+
+    def test_unchanged_is_the_same_object(self):
+        # rho_increased/nu_increased test identity, not value.
+        cfg = OuterConfig(beta=0.5)
+        rho = np.array([1e-3, 2e-3])
+        assert grow_rho(rho, 0.5, 1.0, cfg, 0) is rho
+        assert grow_rho(rho, 0.6, 1.0, cfg, 0) is not rho
 
     def test_rho_power_growth(self):
         cfg = OuterConfig(rho0=1e-3, xi1=1.0, phi=GrowthFn.power(4.0))
         # violation at k=2: max{1 * 1e-3, 1e-3 * 3^4} = 0.081
-        assert update_rho(1e-3, 1.0, 1.0, cfg, 2) == pytest.approx(0.081)
+        assert grow_rho(1e-3, 1.0, 1.0, cfg, 2) == pytest.approx(0.081)
 
     def test_rho_geometric_alm(self):
         cfg = OuterConfig(variant=Variant.ALM, rho0=1e-3,
                           xi1=10.0, xi2=10.0)
-        assert update_rho(1e-3, 1.0, 1.0, cfg, 2) == pytest.approx(0.01)
+        assert grow_rho(1e-3, 1.0, 1.0, cfg, 2) == pytest.approx(0.01)
 
     def test_nu_zero_new_never_grows(self):
         cfg = OuterConfig()
-        assert update_nu(1e-3, 0.0, 5.0, cfg, 3) == 1e-3
-        assert update_nu(1e-3, 0.0, 0.0, cfg, 3) == 1e-3
+        assert grow_nu(1e-3, 0.0, 5.0, cfg, 3) == 1e-3
+        assert grow_nu(1e-3, 0.0, 0.0, cfg, 3) == 1e-3
 
     def test_nu_power_growth(self):
         cfg = OuterConfig(nu0=1e-3, xi2=1.0, phi=GrowthFn.power(12.0))
         # violation at k=1: 1e-3 * 2^12 = 4.096
-        assert update_nu(1e-3, 1.0, 0.1, cfg, 1) == pytest.approx(4.096)
+        assert grow_nu(1e-3, 1.0, 0.1, cfg, 1) == pytest.approx(4.096)
 
     def test_gamma_distance_dominates(self):
         cfg = OuterConfig(delta=1.0, gamma0=0.1, phi=GrowthFn.power(4.0))
@@ -260,6 +325,9 @@ class TestRun:
         np.testing.assert_array_equal(res.x, [10.0])
         assert np.isfinite(res.kkt.stationarity)
         assert res.trace == []
+        # No trace row shows them, so the result reports the penalties
+        # that failed.
+        assert res.penalties == PenaltyState(rho=1e-3, nu=1e-3, gamma=0.1)
 
     def test_alm_allows_infeasible_start(self):
         prob = simplex_qp()
@@ -279,6 +347,15 @@ class TestRun:
         assert all(a <= b for a, b in zip(nu, nu[1:]))
         grads = [r.inner_grad_evals for r in res.trace]
         assert all(a <= b for a, b in zip(grads, grads[1:]))
+
+    @pytest.mark.parametrize("settings", [
+        dict(variant=Variant.PBALM),
+        dict(variant=Variant.ALM, xi1=10.0, xi2=10.0)], ids=["pbalm", "alm"])
+    def test_one_diagnostic_record_per_trace_row(self, settings):
+        # The record at index i belongs to the trace row at index i.
+        res = run(ineq_problem(), np.zeros(2), tight_cfg(**settings))
+        assert res.status is SolveStatus.EPS_KKT
+        assert len(res.diagnostics) == len(res.trace) > 1
 
     def test_diagnostics_mu_nonneg_every_iteration(self):
         prob = ineq_problem()

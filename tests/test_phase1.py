@@ -145,8 +145,9 @@ class TestLiftedVariant:
 
         monkeypatch.setattr(phase1, "run", recording_run)
         prob, x0 = _tiny_eq()
+        xi = dict(xi1=10.0, xi2=10.0) if variant is Variant.ALM else {}
         x = find_feasible(prob, x0, tol=FEAS_TOL,
-                          cfg=OuterConfig(variant=variant))
+                          cfg=OuterConfig(variant=variant, **xi))
         return x, calls
 
     def test_pbalm_lifted_solve_is_balm(self, monkeypatch):
