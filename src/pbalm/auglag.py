@@ -1,36 +1,17 @@
 """Augmented Lagrangian evaluations, residuals and KKT certificates.
 
-All functions here are stateless over immutable inputs.  Penalty weights
-may be scalars or per-constraint vectors; every formula is written
-componentwise and numpy broadcasts a scalar weight.  ``outer.run`` checks
-the weights once, at its entry, with ``as_weight``, so the building blocks
-here expect strictly positive weights of the right shape.
+All functions here are stateless over immutable inputs.  The penalty
+weights rho and nu are positive scalars, which ``outer.OuterConfig``
+checks when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .problem import DimensionMismatchError, ProblemSpec
-
-Penalty = Union[float, np.ndarray]
-
-
-def as_weight(value: Penalty, size: int) -> np.ndarray:
-    """Broadcast a scalar or vector penalty to a strictly positive vector."""
-    w = np.asarray(value, dtype=float)
-    if w.ndim == 0:
-        w = np.full(size, float(w))
-    elif w.shape != (size,):
-        raise DimensionMismatchError(
-            f"penalty vector has shape {w.shape}, expected ({size},)"
-        )
-    if size and np.any(w <= 0):
-        raise ValueError("penalty entries must be strictly positive")
-    return w
+from .problem import ProblemSpec
 
 
 def inf_norm(v: np.ndarray) -> float:
@@ -48,8 +29,8 @@ class Multipliers:
 class PenaltyState:
     """Penalty weights and proximal stepsize; rho/nu never decrease."""
 
-    rho: Penalty
-    nu: Penalty
+    rho: float
+    nu: float
     gamma: float
 
 
@@ -82,14 +63,14 @@ def grad_lagrangian(prob: ProblemSpec, x: np.ndarray, mult: Multipliers) -> np.n
     return grad
 
 
-def _ineq_terms(g_x: np.ndarray, mu: np.ndarray, nu: Penalty) -> float:
-    # (1/2nu)||[nu g + mu]_+||^2 - (1/2nu)||mu||^2, componentwise weights
+def _ineq_terms(g_x: np.ndarray, mu: np.ndarray, nu: float) -> float:
+    # (1/2nu)||[nu g + mu]_+||^2 - (1/2nu)||mu||^2
     shifted = np.maximum(0.0, nu * g_x + mu)
     return float(np.sum(shifted**2 / (2.0 * nu)) - np.sum(mu**2 / (2.0 * nu)))
 
 
 def eval_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
-            rho: Penalty, nu: Penalty) -> float:
+            rho: float, nu: float) -> float:
     """Augmented Lagrangian without the proximal term (f2 excluded)."""
     x = prob.check_x(x)
     val = prob.f1(x)
@@ -116,7 +97,7 @@ def eval_pal(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
 
 
 def grad_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
-            rho: Penalty, nu: Penalty) -> np.ndarray:
+            rho: float, nu: float) -> np.ndarray:
     """Gradient of eval_al in x: grad f1 + Jh^T(lam + rho h) + Jg^T [nu g + mu]_+."""
     x = prob.check_x(x)
     grad = prob.grad_f1(x).astype(float, copy=True)
@@ -157,7 +138,7 @@ def eval_pal_completed_square(prob: ProblemSpec, x: np.ndarray, mult: Multiplier
     return val + float(d @ d) / (2.0 * pen.gamma)
 
 
-def compute_E(g_x: np.ndarray, mu_prev: np.ndarray, nu_prev: Penalty) -> np.ndarray:
+def compute_E(g_x: np.ndarray, mu_prev: np.ndarray, nu_prev: float) -> np.ndarray:
     """Complementarity surrogate: componentwise min{-g(x), mu/nu}."""
     return np.minimum(-g_x, mu_prev / nu_prev)
 

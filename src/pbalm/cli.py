@@ -163,8 +163,8 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
         "stationarity": last.stationarity if last else 0.0,
         # The penalties in force at exit: those that failed, on a
         # numerical failure, which writes no trace row.
-        "rho_max": float(np.max(result.penalties.rho)),
-        "nu_max": float(np.max(result.penalties.nu)),
+        "rho_max": result.penalties.rho,
+        "nu_max": result.penalties.nu,
         "gamma": result.penalties.gamma,
         "f1_value": last.f1_value if last else float(prob.f1(x0)),
         "wall_time_s": wall,

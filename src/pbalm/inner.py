@@ -33,6 +33,8 @@ class InnerConfig:
 @dataclass
 class InnerResult:
     x: np.ndarray
+    value: float       # smooth_value(x)
+    grad: np.ndarray   # smooth_grad(x)
     residual: float
     iterations: int
     grad_evals: int
@@ -106,7 +108,8 @@ def solve_subproblem(
     ||x - prox(x - grad, 1)||_inf drops below tol > 0.
 
     The returned residual is always recomputed from a fresh gradient at
-    the returned point.  grad_evals counts every smooth_grad call.  The
+    the returned point, and that gradient and the smooth value there come
+    back with it.  grad_evals counts every smooth_grad call.  The
     returned point is never the ``x0`` array itself, and ``x0`` is not
     modified.
     """
@@ -134,8 +137,8 @@ def solve_subproblem(
     # Already tau-stationary: return immediately with zero iterations.
     res0 = inf_norm(x - prox(x - g, 1.0))
     if res0 <= tol:
-        return InnerResult(x=x.copy(), residual=res0, iterations=0,
-                           grad_evals=n_grad, converged=True)
+        return InnerResult(x=x.copy(), value=fx, grad=g, residual=res0,
+                           iterations=0, grad_evals=n_grad, converged=True)
 
     # One finite-difference probe of the local Lipschitz constant.
     gnorm = _norm2(g)
@@ -149,7 +152,7 @@ def solve_subproblem(
     sigma = 1e-4  # sufficient decrease of the envelope line search
     mem = _LbfgsMemory(cfg.memory)
 
-    best_x = x.copy()
+    best_x, best_f = x.copy(), fx
     best_obj = fx + f2val(x)
 
     iterations = 0
@@ -173,7 +176,7 @@ def solve_subproblem(
         obj_bar = fbar + f2bar
         if obj_bar < best_obj:
             best_obj = obj_bar
-            best_x = xbar.copy()
+            best_x, best_f = xbar.copy(), fbar
 
         # Cheap proxy first: ||x - T_gamma x||/gamma bounds the unit-step
         # residual from above for gamma <= 1, so this trigger cannot fire
@@ -206,8 +209,9 @@ def solve_subproblem(
             if near_stationary:
                 res = inf_norm(cand - prox(cand - gc, 1.0))
                 if res <= tol:
-                    return InnerResult(x=cand, residual=res, iterations=iterations,
-                                       grad_evals=n_grad, converged=True)
+                    return InnerResult(x=cand, value=fc, grad=gc, residual=res,
+                                       iterations=iterations, grad_evals=n_grad,
+                                       converged=True)
             cbar = prox(cand - gamma * gc, gamma)
             rc = cand - cbar
 
@@ -218,5 +222,6 @@ def solve_subproblem(
     # residual recomputed from scratch there.
     gb = grad(best_x)
     res = inf_norm(best_x - prox(best_x - gb, 1.0))
-    return InnerResult(x=best_x, residual=res, iterations=iterations,
-                       grad_evals=n_grad, converged=res <= tol)
+    return InnerResult(x=best_x, value=best_f, grad=gb, residual=res,
+                       iterations=iterations, grad_evals=n_grad,
+                       converged=res <= tol)

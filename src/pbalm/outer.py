@@ -29,9 +29,7 @@ import numpy as np
 from .auglag import (
     KktReport,
     Multipliers,
-    Penalty,
     PenaltyState,
-    as_weight,
     compute_E,
     eval_al,
     eval_pal,
@@ -99,8 +97,8 @@ class OuterConfig:
     xi1: float = 1.0
     xi2: float = 1.0
     delta: float = 1.0
-    rho0: Penalty = 1e-3
-    nu0: Penalty = 1e-3
+    rho0: float = 1e-3
+    nu0: float = 1e-3
     gamma0: float = 0.1
     phi: GrowthFn = field(default_factory=lambda: GrowthFn.power(4.0))
     tau_schedule: Callable[[int], float] = default_tau_schedule
@@ -119,6 +117,11 @@ class OuterConfig:
             raise ValueError("delta must be positive")
         if self.multiplier_init not in ("zeros", "gaussian"):
             raise ValueError("multiplier_init must be 'zeros' or 'gaussian'")
+        # Scalars only: float() of an array with ndim > 0 raises TypeError.
+        self.rho0, self.nu0 = float(self.rho0), float(self.nu0)
+        self.gamma0 = float(self.gamma0)
+        if not (self.rho0 > 0 and self.nu0 > 0 and self.gamma0 > 0):
+            raise ValueError("rho0, nu0 and gamma0 must be strictly positive")
         # Either rule must make the penalties grow, or rho stays at rho0.
         if self.variant is Variant.ALM:
             # The classical baseline grows its penalties geometrically only.
@@ -224,14 +227,13 @@ def update_multipliers(mult: Multipliers, pen: PenaltyState, h: np.ndarray,
                        mu=np.maximum(0.0, mult.mu + pen.nu * g))
 
 
-def update_penalty(w: Penalty, new_inf: float, old_inf: float, xi: float,
-                   w0: Penalty, cfg: OuterConfig, k: int) -> Penalty:
+def update_penalty(w: float, new_inf: float, old_inf: float, xi: float,
+                   w0: float, cfg: OuterConfig, k: int) -> float:
     """rho or nu: ``w`` itself (same object) while new_inf <= beta old_inf,
-    else max{xi w, w0 phi(k+1)} with a vector w0's largest entry."""
+    else max{xi w, w0 phi(k+1)}."""
     if new_inf <= cfg.beta * old_inf:
         return w
-    floor = float(np.max(np.asarray(w0)))
-    return np.maximum(xi * np.asarray(w, dtype=float), floor * cfg.phi(k + 1))
+    return max(xi * w, w0 * cfg.phi(k + 1))
 
 
 def update_gamma(x0: np.ndarray, x_new: np.ndarray, cfg: OuterConfig,
@@ -262,12 +264,11 @@ def _weighted_sq(mult: Multipliers, pen: PenaltyState) -> float:
 def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
              mult: Multipliers, mult_new: Multipliers, pen: PenaltyState,
              pen_new: PenaltyState, h: np.ndarray, g: np.ndarray,
-             E: np.ndarray, value: float,
-             grad: Callable[[np.ndarray], np.ndarray], proximal: bool):
+             E: np.ndarray, value: float, grad: np.ndarray, proximal: bool):
     """(stationarity, DiagnosticRecord) of the iteration that went from
     x_hat to x under ``mult``/``pen`` and updated them to ``mult_new``/
-    ``pen_new``: h, g, E and the subproblem ``value`` are taken at x, and
-    ``grad`` is the subproblem's gradient map."""
+    ``pen_new``: h, g, E and the subproblem's ``value`` and ``grad`` are
+    taken at x."""
     # Exact identity: the scaled dual step equals the primal residuals.
     # The steps are recomputed from the same quantities the updates used
     # (rho * h and max{g, -mu/nu}) so cancellation in lam' - lam cannot
@@ -280,9 +281,7 @@ def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
     # Exact identity: the Lagrangian gradient at the updated multipliers
     # equals the subproblem gradient minus the proximal correction.
     grad_L = grad_lagrangian(prob, x, mult_new)
-    grad_sub = grad(x)
-    if proximal:
-        grad_sub = grad_sub - (x - x_hat) / pen.gamma
+    grad_sub = grad - (x - x_hat) / pen.gamma if proximal else grad
     grad_err = inf_norm(grad_L - grad_sub) / (1.0 + inf_norm(grad_L))
 
     # Centered at x, the proximal term of the completed square is exactly
@@ -340,19 +339,12 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     NUMERICAL_FAILURE at the last finite outer iterate; the result's
     ``penalties`` are then the ones that failed.
 
-    The penalties ``rho0``/``nu0`` (scalars or per-constraint vectors) and
-    ``gamma0`` are checked here, once: a non-positive entry raises
-    ValueError and a vector of the wrong length DimensionMismatchError.
     P-BALM and BALM raise InfeasibleStartError unless x0 is feasible
     within FEAS_TOL; ALM accepts any finite x0."""
     prob = dataclasses.replace(prob, h=_last_point(prob.h), g=_last_point(prob.g))
     x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point has non-finite entries")
-    as_weight(cfg.rho0, prob.p)
-    as_weight(cfg.nu0, prob.m)
-    if cfg.gamma0 <= 0:
-        raise ValueError("gamma0 must be strictly positive")
 
     x = x0.copy()  # checked, so the first iteration reuses h(x) and g(x)
     if (cfg.variant is not Variant.ALM
@@ -412,13 +404,12 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             update_gamma(x0, x_new, cfg, k) if proximal else pen.gamma)
 
         f2_new = prob.f2_value(x_new)
-        val_new = smooth_value(x_new)
         stationarity, diag = diagnose(prob, x_new, x_hat, mult, mult_new, pen,
-                                      pen_new, h, g, E, val_new, smooth_grad,
+                                      pen_new, h, g, E, res.value, res.grad,
                                       proximal)
         diagnostics.append(diag)
         # The classical baseline has no augmented-Lagrangian bound.
-        slack = (np.nan if cfg.variant is Variant.ALM else val_new + f2_new
+        slack = (np.nan if cfg.variant is Variant.ALM else res.value + f2_new
                  - al_bound(x0, x_hat, f_x0, pen.gamma, proximal))
         trace.append(IterationRecord(
             k=k,
@@ -428,8 +419,8 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             ineq_infeas=inf_norm(np.maximum(0.0, g)),
             E_norm=E_new_inf,
             stationarity=stationarity,
-            rho_max=float(np.max(pen.rho)),
-            nu_max=float(np.max(pen.nu)),
+            rho_max=pen.rho,
+            nu_max=pen.nu,
             gamma=pen.gamma,
             inner_iters=res.iterations,
             inner_grad_evals=cum_grad,

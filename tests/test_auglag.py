@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from pbalm.auglag import (
     Multipliers,
     PenaltyState,
-    as_weight,
     compute_E,
     eval_al,
     eval_pal,
@@ -37,22 +36,6 @@ def mixed_problem():
         jac_g_transpose_apply=lambda x, y: np.array([y[0], -y[1]]),
         name="mixed",
     )
-
-
-class TestAsWeight:
-    def test_scalar_broadcast(self):
-        np.testing.assert_array_equal(as_weight(2.0, 3), [2.0, 2.0, 2.0])
-
-    def test_vector_passthrough(self):
-        np.testing.assert_array_equal(as_weight(np.array([1.0, 3.0]), 2), [1.0, 3.0])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            as_weight(0.0, 1)
-
-    def test_wrong_shape(self):
-        with pytest.raises(ValueError):
-            as_weight(np.ones(3), 2)
 
 
 def test_inf_norm_empty_is_zero():
@@ -146,8 +129,7 @@ class TestGradPal:
         while checked < 10:
             x = rng.standard_normal(2)
             mult = Multipliers(rng.standard_normal(1), np.abs(rng.standard_normal(2)))
-            nu_v = as_weight(pen.nu, prob.m)
-            if np.any(np.abs(nu_v * prob.g(x) + mult.mu) < 1e-6):
+            if np.any(np.abs(pen.nu * prob.g(x) + mult.mu) < 1e-6):
                 continue  # resample near kinks of the max term
             v = rng.standard_normal(2)
             g = grad_pal(prob, x, mult, pen, v)
@@ -181,16 +163,6 @@ class TestCompletedSquare:
         )
         a = eval_pal(prob, x, mult, pen, v)
         b = eval_pal_completed_square(prob, x, mult, pen, v)
-        assert rel_err(a, b) <= 1e-10
-
-    def test_identity_vector_penalties(self):
-        rng = np.random.default_rng(7)
-        prob = mixed_problem()
-        x = rng.standard_normal(2)
-        mult = Multipliers(rng.standard_normal(1), np.abs(rng.standard_normal(2)))
-        pen = PenaltyState(rho=np.array([2.5]), nu=np.array([0.5, 4.0]), gamma=0.3)
-        a = eval_pal(prob, x, mult, pen, np.zeros(2))
-        b = eval_pal_completed_square(prob, x, mult, pen, np.zeros(2))
         assert rel_err(a, b) <= 1e-10
 
 

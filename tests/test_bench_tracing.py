@@ -33,3 +33,5 @@ def test_tracer_patches_and_sees_each_layer(monkeypatch):
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["oracle.h_per_grad"][0] <= 2.1
     assert metrics["outer.h_per_iter"][0] <= 1.0
+    # Every augmented-Lagrangian gradient is one the inner solver counts.
+    assert metrics["auglag.grad.calls"][0] == metrics["inner.grad_evals"][0]

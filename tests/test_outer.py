@@ -17,9 +17,9 @@ from pbalm.outer import (
     update_multipliers,
     update_penalty,
 )
-from pbalm.problem import DimensionMismatchError, check_feasible, eval_objective
+from pbalm.problem import check_feasible, eval_objective
 from pbalm.problem_gen import gen_basis_pursuit, make_random_eq_qp, qp_problem
-from conftest import (box_qp_1d, eq_qp_1d, ineq_problem, neg_exp_problem,
+from conftest import (box_qp_1d, ineq_problem, neg_exp_problem,
                       quadratic_problem, simplex_qp)
 
 
@@ -105,12 +105,6 @@ class TestMultiplierUpdates:
         out = update_multipliers(mult, _pen(rho=2.0), np.array([0.0]), np.zeros(0))
         np.testing.assert_array_equal(out.lam, [1.5])
 
-    def test_update_lambda_vector_rho(self):
-        mult = Multipliers(np.zeros(2), np.zeros(0))
-        out = update_multipliers(mult, _pen(rho=np.array([1.0, 10.0])),
-                                 np.array([1.0, 1.0]), np.zeros(0))
-        np.testing.assert_array_equal(out.lam, [1.0, 10.0])
-
     def test_update_mu_clipped(self):
         mult = Multipliers(np.zeros(0), np.array([1.0]))
         out = update_multipliers(mult, _pen(nu=2.0), np.zeros(0), np.array([-1.0]))
@@ -134,8 +128,7 @@ class TestMultiplierUpdates:
         np.testing.assert_array_equal(out.lam, [2.0])
         np.testing.assert_array_equal(out.mu, [0.0])
 
-    @pytest.mark.parametrize("weight", [1e-3, np.zeros(0)],
-                             ids=["scalar", "empty-vector"])
+    @pytest.mark.parametrize("weight", [1e-3], ids=["scalar"])
     def test_no_constraints_gives_empty_float_arrays(self, weight):
         mult = Multipliers(np.zeros(0), np.zeros(0))
         out = update_multipliers(mult, _pen(rho=weight, nu=weight),
@@ -143,8 +136,7 @@ class TestMultiplierUpdates:
         for v in (out.lam, out.mu):
             assert v.shape == (0,) and v.dtype == np.float64
 
-    @pytest.mark.parametrize("weight", [1e-3, np.zeros(0)],
-                             ids=["scalar", "empty-vector"])
+    @pytest.mark.parametrize("weight", [1e-3], ids=["scalar"])
     def test_one_kind_of_constraint(self, weight):
         # p = 0 with an inequality, and m = 0 with an equality.
         out = update_multipliers(Multipliers(np.zeros(0), np.ones(1)),
@@ -168,10 +160,9 @@ def grow_nu(nu, new_inf, old_inf, cfg, k):
 class TestPenaltyUpdates:
     def test_floors_are_initial_values(self):
         # phi(1) = 1, so a violation at k = 0 lifts each penalty to its
-        # floor; a vector rho0's floor is its largest entry.
-        cfg = OuterConfig(rho0=np.array([2e-3, 5e-3]), nu0=3e-3, gamma0=0.2)
-        np.testing.assert_array_equal(
-            grow_rho(np.full(2, 1e-4), 1.0, 1.0, cfg, 0), [5e-3, 5e-3])
+        # floor.
+        cfg = OuterConfig(rho0=5e-3, nu0=3e-3, gamma0=0.2)
+        assert grow_rho(1e-4, 1.0, 1.0, cfg, 0) == 5e-3
         assert grow_nu(1e-4, 1.0, 1.0, cfg, 0) == 3e-3
         x0 = np.zeros(1)
         assert update_gamma(x0, x0, cfg, 0) == 0.2
@@ -183,9 +174,18 @@ class TestPenaltyUpdates:
     def test_unchanged_is_the_same_object(self):
         # rho_increased/nu_increased test identity, not value.
         cfg = OuterConfig(beta=0.5)
-        rho = np.array([1e-3, 2e-3])
+        rho = 2e-3
         assert grow_rho(rho, 0.5, 1.0, cfg, 0) is rho
         assert grow_rho(rho, 0.6, 1.0, cfg, 0) is not rho
+
+    def test_penalties_stay_plain_floats(self):
+        # The config stores float(rho0); the rule keeps the initial object
+        # until it fires and then yields a float, as the trace rows expect.
+        cfg = OuterConfig(rho0=np.float64(1e-3), nu0=np.float64(1e-3))
+        assert type(cfg.rho0) is float and type(cfg.nu0) is float
+        assert grow_rho(cfg.rho0, 0.5, 1.0, cfg, 0) is cfg.rho0
+        grown = grow_nu(cfg.nu0, 1.0, 1.0, cfg, 2)
+        assert type(grown) is float and grown == pytest.approx(0.081)
 
     def test_rho_power_growth(self):
         cfg = OuterConfig(rho0=1e-3, xi1=1.0, phi=GrowthFn.power(4.0))
@@ -453,34 +453,51 @@ class TestOneEvaluationPerPoint:
         assert res.status is SolveStatus.EPS_KKT
         assert calls["g"] <= 1.25 * res.trace[-1].inner_grad_evals
 
+    @pytest.mark.parametrize("settings", [
+        dict(variant=Variant.PBALM), dict(variant=Variant.BALM),
+        dict(variant=Variant.ALM, xi1=10.0, xi2=10.0)],
+        ids=["pbalm", "balm", "alm"])
+    def test_subproblem_gradient_is_not_recomputed(self, settings):
+        # The subproblem's value and gradient at its solution come back
+        # from the inner solve. Beyond the inner gradients, J^T is applied
+        # once per iteration for the Lagrangian gradient in the
+        # diagnostics and once in the final KKT report.
+        qp = make_random_eq_qp(8, 3, 2)
+        prob = qp_problem(qp)
+        calls = [0]
+
+        def jac_h_t(x, y, apply=prob.jac_h_transpose_apply):
+            calls[0] += 1
+            return apply(x, y)
+
+        prob = dataclasses.replace(prob, jac_h_transpose_apply=jac_h_t)
+        x0 = (np.zeros(8) if settings["variant"] is Variant.ALM
+              else qp.feasible_point(np.random.default_rng(0)))
+        res = run(prob, x0, OuterConfig(**settings))
+        assert res.status is SolveStatus.EPS_KKT
+        assert calls[0] == res.trace[-1].inner_grad_evals + len(res.trace) + 1
+
 
 class TestPenaltyCheckAtEntry:
-    """``run`` checks rho0, nu0 and gamma0 once, before the first
-    evaluation."""
+    """``OuterConfig`` checks rho0, nu0 and gamma0 when it is built, so a
+    bad penalty never reaches ``run``."""
 
     def test_nonpositive_rho0(self):
         with pytest.raises(ValueError):
-            run(eq_qp_1d(), np.array([1.0]), OuterConfig(rho0=0.0))
+            OuterConfig(rho0=0.0)
 
-    def test_misshaped_rho0(self):
-        with pytest.raises(DimensionMismatchError):
-            run(eq_qp_1d(), np.array([1.0]), OuterConfig(rho0=np.ones(3)))
+    @pytest.mark.parametrize("settings", [
+        dict(rho0=np.ones(3)), dict(nu0=np.ones(2)), dict(rho0=np.zeros(0))],
+        ids=["rho0-vector", "nu0-vector", "rho0-empty"])
+    def test_vector_penalty_rejected(self, settings):
+        # The penalties are scalars: an array of any length is refused.
+        with pytest.raises(TypeError):
+            OuterConfig(**settings)
 
     def test_negative_nu0(self):
         with pytest.raises(ValueError):
-            run(ineq_problem(), np.zeros(2), OuterConfig(nu0=-1.0))
+            OuterConfig(nu0=-1.0)
 
     def test_nonpositive_gamma0_without_prox(self):
         with pytest.raises(ValueError):
-            run(eq_qp_1d(), np.array([1.0]),
-                OuterConfig(variant=Variant.BALM, gamma0=0.0))
-
-    def test_vector_penalties_broadcast_like_scalars(self):
-        qp = make_random_eq_qp(6, 2, seed=0)
-        prob = qp_problem(qp)
-        x0 = qp.feasible_point(np.random.default_rng(0))
-        scalar = run(prob, x0, tight_cfg(rho0=2e-3))
-        vector = run(prob, x0, tight_cfg(rho0=np.full(2, 2e-3)))
-        assert scalar.status is SolveStatus.EPS_KKT
-        np.testing.assert_array_equal(scalar.x, vector.x)
-        assert scalar.trace == vector.trace
+            OuterConfig(variant=Variant.BALM, gamma0=0.0)
