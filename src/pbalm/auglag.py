@@ -16,7 +16,7 @@ from .problem import ProblemSpec
 
 def inf_norm(v: np.ndarray) -> float:
     """||v||_inf with the empty vector mapping to 0."""
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 @dataclass
@@ -66,7 +66,7 @@ def grad_lagrangian(prob: ProblemSpec, x: np.ndarray, mult: Multipliers) -> np.n
 def _ineq_terms(g_x: np.ndarray, mu: np.ndarray, nu: float) -> float:
     # (1/2nu)||[nu g + mu]_+||^2 - (1/2nu)||mu||^2
     shifted = np.maximum(0.0, nu * g_x + mu)
-    return float(np.sum(shifted**2 / (2.0 * nu)) - np.sum(mu**2 / (2.0 * nu)))
+    return float((shifted**2 / (2.0 * nu)).sum() - (mu**2 / (2.0 * nu)).sum())
 
 
 def eval_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
@@ -76,7 +76,7 @@ def eval_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     val = prob.f1(x)
     if prob.p:
         h_x = prob.h(x)
-        val += float(mult.lam @ h_x) + float(np.sum(rho * h_x**2) / 2.0)
+        val += float(mult.lam @ h_x) + float((rho * h_x**2).sum() / 2.0)
     if prob.m:
         val += _ineq_terms(prob.g(x), mult.mu, nu)
     return val

@@ -8,6 +8,7 @@ test.  Deterministic: identical inputs produce identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,7 +54,7 @@ class _LbfgsMemory:
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s @ y)
-        if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy <= 1e-12 * math.sqrt(s @ s) * math.sqrt(y @ y):
             return
         self.pairs.append((s, y, sy))
         if len(self.pairs) > self.memory:
@@ -87,12 +88,9 @@ def _norm2(v: np.ndarray) -> float:
     return s * np.linalg.norm(v / s) if np.isfinite(s) else s
 
 
-def _check_finite(*values) -> None:
-    for v in values:
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteValueError(
-                "non-finite value in subproblem evaluation"
-            )
+def _check_finite(v) -> None:
+    if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+        raise NonFiniteValueError("non-finite value in subproblem evaluation")
 
 
 def solve_subproblem(
@@ -192,7 +190,7 @@ def solve_subproblem(
             for _ in range(12):
                 cand = x - (1.0 - tau) * r + tau * d
                 fc = float(smooth_value(cand))
-                if np.isfinite(fc):
+                if math.isfinite(fc):
                     gc = grad(cand)
                     cbar = prox(cand - gamma * gc, gamma)
                     rc = cand - cbar
