@@ -17,8 +17,15 @@ import numpy as np
 from .auglag import inf_norm
 
 
+# Relative slack of the backtracking test: a few units in the last place.
+_ROUNDING = 10 * np.finfo(float).eps
+
+
 class NonFiniteValueError(FloatingPointError):
-    """NaN or infinity encountered; usually bad penalty scaling upstream."""
+    """The subproblem cannot be solved in floating point: a value or
+    gradient is NaN or infinite, or no stepsize down to the solver's floor
+    satisfies the descent lemma, so its curvature exceeds what the iterates
+    can resolve.  Usually bad penalty scaling upstream."""
 
 
 @dataclass
@@ -157,7 +164,10 @@ def solve_subproblem(
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         # Forward-backward step, backtracking gamma until the quadratic
-        # upper bound holds at the prox point.
+        # upper bound holds at the prox point.  The slack only absorbs the
+        # rounding of fx and fbar: the envelope line search needs the bound
+        # itself, and a looser test lets too long a step through unnoticed.
+        slack = _ROUNDING * (1.0 + abs(fx))
         while True:
             xbar = prox(x - gamma * g, gamma)
             r = x - xbar
@@ -165,8 +175,11 @@ def solve_subproblem(
             fbar = float(smooth_value(xbar))
             _check_finite(fbar)
             ub = fx - float(g @ r) + rsq / (2.0 * gamma)
-            if fbar <= ub + 1e-10 * (1.0 + abs(fx)) or gamma <= gamma_min:
+            if fbar <= ub + slack:
                 break
+            if gamma <= gamma_min:
+                raise NonFiniteValueError(
+                    f"no step down to {gamma_min:g} satisfies the descent lemma")
             gamma *= 0.5
             mem.reset()
 

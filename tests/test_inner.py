@@ -172,6 +172,27 @@ class TestContract:
                 1e-6, InnerConfig(),
             )
 
+    def test_curvature_beyond_step_floor_raises_before_stepping(self):
+        # f = x0^2/2 + K (x1 - 1)^2 / 2 on the line x0 = x1.  At (1, 1)
+        # the gradient is e1, so the probe sees curvature 1, but every
+        # step moves along (1, 1), where the curvature is (1 + K)/2 and the
+        # descent lemma needs gamma <= 2/(1 + K), far below gamma_min.
+        K = 1e16
+        grads = []
+
+        def grad(x):
+            grads.append(x)
+            return np.array([x[0], K * (x[1] - 1.0)])
+
+        def onto_diagonal(z, step):
+            return np.full(2, 0.5 * (z[0] + z[1]))
+
+        with pytest.raises(NonFiniteValueError):
+            solve_subproblem(
+                lambda x: 0.5 * x[0] ** 2 + 0.5 * K * (x[1] - 1.0) ** 2,
+                grad, onto_diagonal, np.ones(2), 1e-8, InnerConfig())
+        assert len(grads) == 2  # the start and the probe: no step taken
+
     def test_step_probe_survives_huge_gradient(self):
         # ||g||^2 overflows here; a plain 2-norm would make the first
         # step 1 and jump to -1e160.
