@@ -157,16 +157,18 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
         "status": result.status.value,
         "outer_iterations": len(result.trace),
         "grad_evals": last.inner_grad_evals if last else 0,
-        "eq_infeas": last.eq_infeas if last else 0.0,
-        "ineq_infeas": last.ineq_infeas if last else 0.0,
+        # At result.x with the final multipliers, as in the last trace
+        # row; a run that wrote no row still reports its residuals.
+        "eq_infeas": result.kkt.eq_infeas,
+        "ineq_infeas": result.kkt.ineq_infeas,
         "E_norm": last.E_norm if last else 0.0,
-        "stationarity": last.stationarity if last else 0.0,
+        "stationarity": result.kkt.stationarity,
         # The penalties in force at exit: those that failed, on a
         # numerical failure, which writes no trace row.
         "rho_max": result.penalties.rho,
         "nu_max": result.penalties.nu,
         "gamma": result.penalties.gamma,
-        "f1_value": last.f1_value if last else float(prob.f1(x0)),
+        "f1_value": float(prob.f1(result.x)),
         "wall_time_s": wall,
     }
     if args.f1_star is not None and last is not None:

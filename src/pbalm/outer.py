@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 import numpy as np
 
@@ -309,13 +309,16 @@ def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
     )
 
 
-def _last_point(fn: Callable[[np.ndarray], np.ndarray]
-                ) -> Callable[[np.ndarray], np.ndarray]:
+_Out = TypeVar("_Out")
+
+
+def _last_point(fn: Callable[[np.ndarray], _Out]
+                ) -> Callable[[np.ndarray], _Out]:
     """``fn`` remembering its last argument and result: a repeated call
     on the same array object returns the stored result."""
     last_x, last_out = None, None
 
-    def cached(x: np.ndarray) -> np.ndarray:
+    def cached(x: np.ndarray) -> _Out:
         nonlocal last_x, last_out
         if x is not last_x:
             last_x, last_out = x, fn(x)
@@ -330,10 +333,10 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     rule max{||h||_inf, ||E||_inf} <= stop_tol (used by the phase-I driver,
     which terminates on feasibility of the base problem instead).
 
-    ``h`` and ``g`` are evaluated once per point: the run remembers the
-    last point each was called on and reuses the result when the same
-    array comes back.  The solver never changes an evaluated point in
-    place, and ``stop_when`` must not modify ``x`` either.
+    ``f1``, ``h`` and ``g`` are evaluated once per point: the run
+    remembers the last point each was called on and reuses the result
+    when the same array comes back.  The solver never changes an evaluated
+    point in place, and ``stop_when`` must not modify ``x`` either.
 
     A non-finite value inside a subproblem solve ends the run with status
     NUMERICAL_FAILURE at the last finite outer iterate; the result's
@@ -341,7 +344,8 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
     P-BALM and BALM raise InfeasibleStartError unless x0 is feasible
     within FEAS_TOL; ALM accepts any finite x0."""
-    prob = dataclasses.replace(prob, h=_last_point(prob.h), g=_last_point(prob.g))
+    prob = dataclasses.replace(prob, f1=_last_point(prob.f1),
+                               h=_last_point(prob.h), g=_last_point(prob.g))
     x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point has non-finite entries")

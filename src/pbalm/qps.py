@@ -7,10 +7,13 @@ triangle, off-diagonals counted once and mirrored) or a QMATRIX section
 (full matrix, taken as given); mixing the two is rejected.  Fortran-style
 exponents (1.0D+01) are accepted in every numeric field.  OBJSENSE MAX,
 in the section or the one-line form, negates the objective, so QpData
-always describes a minimization.  Bounds are checked after the whole
-BOUNDS section, so a column's records may come in any order; as in most
-MPS readers, a negative UP on a column whose lower bound no record sets
-makes that lower bound -inf, with a warning.
+always describes a minimization.  A row's sense sets its right-hand
+side b as the lower bound (E, G) and the upper bound (E, L); a RANGES
+value R then sets the upper bound to b + |R| on a G row, or on an E row
+with R >= 0, and otherwise the lower bound to b - |R|.  Bounds are
+checked after the whole BOUNDS section, so a column's records may come
+in any order; as in most MPS readers, a negative UP on a column whose
+lower bound no record sets makes that lower bound -inf, with a warning.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from . import problem
 from .problem import ProblemSpec, box_problem_terms
 
 
@@ -51,8 +55,9 @@ class MalformedNumericFieldError(QpsParseError):
     pass
 
 
-class CrossedBoundsError(QpsParseError):
-    pass
+class CrossedBoundsError(QpsParseError, problem.CrossedBoundsError):
+    """Crossed column bounds, at the line of the column's last BOUNDS
+    record; ``except problem.CrossedBoundsError`` catches it too."""
 
 
 class MixedQuadSectionsError(QpsParseError):
@@ -91,6 +96,20 @@ class QpData:
 
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
              "QUADOBJ", "QMATRIX", "OBJSENSE", "ENDATA"}
+_QUAD_SECTIONS = {"QUADOBJ", "QMATRIX"}
+
+# Bound type -> the (lower, upper) pair a record sets: _VALUE is the
+# record's value and None leaves that side as it is.  A type that sets
+# the lower side is a lower-bound record for the negative-UP rule.
+_VALUE = "value"
+_BOUNDS = {
+    "UP": (None, _VALUE),
+    "LO": (_VALUE, None),
+    "FX": (_VALUE, _VALUE),
+    "FR": (-np.inf, np.inf),
+    "MI": (-np.inf, None),
+    "PL": (None, np.inf),
+}
 
 # OBJSENSE value -> sign that turns the objective into a minimization.
 _OBJ_SIGN = {"MIN": 1.0, "MINIMIZE": 1.0, "MAX": -1.0, "MAXIMIZE": -1.0}
@@ -126,8 +145,6 @@ def _pairs(tokens: List[str], section: str,
 
 def parse_qps(text: str) -> QpData:
     """Parse a QPS/MPS document."""
-    lines = text.splitlines()
-
     name = ""
     row_sense: dict = {}          # row name -> sense
     row_index: dict = {}          # constraint row name -> index
@@ -135,46 +152,35 @@ def parse_qps(text: str) -> QpData:
     col_index: dict = {}
     q_lin: dict = {}              # col -> linear objective coefficient
     a_entries: List[Tuple[int, int, float]] = []
-    rhs: dict = {}                # constraint row -> rhs value
-    ranges: dict = {}
-    obj_const = 0.0
+    given: dict = {"RHS": {}, "RANGES": {}}  # section -> row name -> value
     bounds: List[Tuple[str, str, Optional[float], int]] = []
-    quad_full: dict = {}          # QMATRIX accumulation
-    quad_lower: dict = {}         # QUADOBJ accumulation
-    quad_section_seen: Optional[str] = None
+    quad: dict = {}               # (i, j) of QMATRIX, (max, min) of QUADOBJ
     obj_sign = 1.0
 
     section = None
     seen_sections = set()
-    saw_endata = False
-    last_line_no = 0
+    line_no = 0
 
-    for line_no, raw in enumerate(lines, start=1):
-        last_line_no = line_no
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
-        is_header = not raw[0].isspace()
         tokens = raw.split()
 
-        if is_header:
-            head = tokens[0].upper()
-            if head not in _SECTIONS:
+        if not raw[0].isspace():
+            section = tokens[0].upper()
+            if section not in _SECTIONS:
                 raise QpsParseError(f"unknown section {tokens[0]!r}", line_no)
-            if head in ("QUADOBJ", "QMATRIX"):
-                if quad_section_seen is not None and quad_section_seen != head:
-                    raise MixedQuadSectionsError(
-                        "QUADOBJ and QMATRIX sections cannot be mixed", line_no
-                    )
-                quad_section_seen = head
-            if head == "NAME" and len(tokens) > 1:
-                name = tokens[1]
-            if head == "OBJSENSE" and len(tokens) > 1:
-                obj_sign = _obj_sign(tokens[1], line_no)
-            if head == "ENDATA":
-                saw_endata = True
+            seen_sections.add(section)
+            if _QUAD_SECTIONS <= seen_sections:
+                raise MixedQuadSectionsError(
+                    "QUADOBJ and QMATRIX sections cannot be mixed", line_no
+                )
+            if section == "ENDATA":
                 break
-            section = head
-            seen_sections.add(head)
+            if section == "NAME" and len(tokens) > 1:
+                name = tokens[1]
+            if section == "OBJSENSE" and len(tokens) > 1:
+                obj_sign = _obj_sign(tokens[1], line_no)
             continue
 
         if section == "ROWS":
@@ -188,11 +194,10 @@ def parse_qps(text: str) -> QpData:
             if rname in row_sense:
                 raise QpsParseError(f"duplicate row {rname!r}", line_no)
             row_sense[rname] = sense
-            if sense == "N":
-                if obj_row is None:
-                    obj_row = rname
-            else:
+            if sense != "N":
                 row_index[rname] = len(row_index)
+            elif obj_row is None:
+                obj_row = rname
 
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1].upper() == "'MARKER'":
@@ -206,44 +211,30 @@ def parse_qps(text: str) -> QpData:
                     q_lin[j] = q_lin.get(j, 0.0) + v
                 elif rname in row_index:
                     a_entries.append((row_index[rname], j, v))
-                elif rname in row_sense:
-                    pass  # extra free row: declared but not a constraint
-                else:
-                    raise UndeclaredRowOrColumnError(
-                        f"undeclared row {rname!r}", line_no
-                    )
-
-        elif section == "RHS":
-            for rname, v in _pairs(tokens, section, line_no):
-                if rname == obj_row:
-                    obj_const = -v  # MPS convention for the objective shift
-                elif rname in row_index:
-                    rhs[rname] = v
                 elif rname not in row_sense:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
                     )
+                # else an extra free row: declared but not a constraint
 
-        elif section == "RANGES":
+        elif section in ("RHS", "RANGES"):
             for rname, v in _pairs(tokens, section, line_no):
-                if rname in row_index:
-                    ranges[rname] = v
-                elif rname not in row_sense:
+                if rname not in row_sense:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
                     )
+                given[section][rname] = v
 
         elif section == "BOUNDS":
             btype = tokens[0].upper()
-            if btype in ("FR", "MI", "PL"):
-                if len(tokens) < 3:
-                    raise QpsParseError("BOUNDS entry is truncated", line_no)
-                cname, val = tokens[2], None
-            else:
-                if len(tokens) < 4:
-                    raise QpsParseError("BOUNDS entry is truncated", line_no)
-                cname, val = tokens[2], _num(tokens[3], line_no)
-            if btype not in ("UP", "LO", "FX", "FR", "MI", "PL"):
+            # An unknown type is read as a valued record before it is
+            # rejected, so a short or malformed one reports that first.
+            valued = _VALUE in _BOUNDS.get(btype, (_VALUE,))
+            if len(tokens) < 3 + valued:
+                raise QpsParseError("BOUNDS entry is truncated", line_no)
+            cname = tokens[2]
+            val = _num(tokens[3], line_no) if valued else None
+            if btype not in _BOUNDS:
                 raise QpsParseError(f"unsupported bound type {tokens[0]!r}",
                                     line_no)
             if cname not in col_index:
@@ -252,65 +243,54 @@ def parse_qps(text: str) -> QpData:
                 )
             bounds.append((btype, cname, val, line_no))
 
-        elif section in ("QUADOBJ", "QMATRIX"):
+        elif section in _QUAD_SECTIONS:
             if len(tokens) != 3:
                 raise QpsParseError(
                     f"{section} entry needs two columns and a value", line_no
                 )
-            c1, c2 = tokens[0], tokens[1]
             v = _num(tokens[2], line_no)
-            for cname in (c1, c2):
+            for cname in tokens[:2]:
                 if cname not in col_index:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared column {cname!r}", line_no
                     )
-            i, j = col_index[c1], col_index[c2]
-            if section == "QUADOBJ":
-                key = (max(i, j), min(i, j))
-                quad_lower[key] = quad_lower.get(key, 0.0) + v
-            else:
-                quad_full[(i, j)] = quad_full.get((i, j), 0.0) + v
+            i, j = col_index[tokens[0]], col_index[tokens[1]]
+            key = (i, j) if section == "QMATRIX" else (max(i, j), min(i, j))
+            quad[key] = quad.get(key, 0.0) + v
 
         elif section == "OBJSENSE":
             obj_sign = _obj_sign(tokens[0], line_no)
-        elif section == "NAME":
-            continue
-        else:
+        elif section != "NAME":
             raise QpsParseError("data line before any section header", line_no)
 
-    if not saw_endata:
-        raise MissingSectionError("missing ENDATA section", last_line_no + 1)
+    if section != "ENDATA":
+        raise MissingSectionError("missing ENDATA section", line_no + 1)
     for required in ("ROWS", "COLUMNS"):
         if required not in seen_sections:
             raise MissingSectionError(f"missing {required} section",
-                                      last_line_no + 1)
+                                      line_no + 1)
 
     n = len(col_index)
     m_rows = len(row_index)
+    rhs, ranges = given["RHS"], given["RANGES"]
+    obj_const = -rhs[obj_row] if obj_row in rhs else 0.0  # MPS objective shift
 
-    # Row bounds from sense, RHS and RANGES.
+    # Row bounds from sense, RHS and RANGES, by the module docstring's rule.
     row_lower = np.full(m_rows, -np.inf)
     row_upper = np.full(m_rows, np.inf)
     for rname, i in row_index.items():
         sense = row_sense[rname]
         b = rhs.get(rname, 0.0)
-        if sense == "E":
-            row_lower[i] = row_upper[i] = b
-        elif sense == "L":
-            row_upper[i] = b
-        elif sense == "G":
+        if sense in "EG":
             row_lower[i] = b
+        if sense in "EL":
+            row_upper[i] = b
         if rname in ranges:
             r = ranges[rname]
-            if sense == "L":
-                row_lower[i] = b - abs(r)
-            elif sense == "G":
+            if sense == "G" or (sense == "E" and r >= 0):
                 row_upper[i] = b + abs(r)
-            elif sense == "E":
-                if r >= 0:
-                    row_upper[i] = b + r
-                else:
-                    row_lower[i] = b + r
+            else:
+                row_lower[i] = b - abs(r)
 
     # Variable bounds: MPS default [0, +inf), then BOUNDS records on top.
     # Bounds are checked once all records are in, so the order of a
@@ -323,26 +303,19 @@ def parse_qps(text: str) -> QpData:
     for btype, cname, val, line_no in bounds:
         j = col_index[cname]
         last_record[j] = (cname, line_no)
-        if btype in ("LO", "FX", "FR", "MI"):
-            lower_set.add(j)
-        if btype == "UP":
-            var_upper[j] = val
-        elif btype == "LO":
-            var_lower[j] = val
-        elif btype == "FX":
+        if btype == "FX":
             if j in fixed_at and fixed_at[j] != val:
                 raise DuplicateFixedBoundConflictError(
                     f"column {cname!r} fixed at both {fixed_at[j]} and {val}",
                     line_no,
                 )
             fixed_at[j] = val
-            var_lower[j] = var_upper[j] = val
-        elif btype == "FR":
-            var_lower[j], var_upper[j] = -np.inf, np.inf
-        elif btype == "MI":
-            var_lower[j] = -np.inf
-        elif btype == "PL":
-            var_upper[j] = np.inf
+        lower, upper = _BOUNDS[btype]
+        if lower is not None:
+            var_lower[j] = val if lower is _VALUE else lower
+            lower_set.add(j)
+        if upper is not None:
+            var_upper[j] = val if upper is _VALUE else upper
     for j, (cname, line_no) in last_record.items():
         if var_upper[j] < 0 and j not in lower_set:
             warnings.warn(
@@ -359,15 +332,14 @@ def parse_qps(text: str) -> QpData:
             )
 
     # Quadratic objective, stored as the lower triangle of symmetric Q.
-    q_entries: List[Tuple[int, int, float]] = []
-    if quad_section_seen == "QUADOBJ":
-        q_entries = [(i, j, v) for (i, j), v in sorted(quad_lower.items())]
-    elif quad_section_seen == "QMATRIX":
+    if "QMATRIX" in seen_sections:
         # 0.5 * (v + v) == v, so the diagonal needs no special case.
-        lower = sorted({(max(i, j), min(i, j)) for i, j in quad_full})
-        q_entries = [(i, j, 0.5 * (quad_full.get((i, j), 0.0)
-                                   + quad_full.get((j, i), 0.0)))
-                     for i, j in lower]
+        lower_keys = sorted({(max(i, j), min(i, j)) for i, j in quad})
+        q_entries = [(i, j, 0.5 * (quad.get((i, j), 0.0)
+                                   + quad.get((j, i), 0.0)))
+                     for i, j in lower_keys]
+    else:
+        q_entries = [(i, j, v) for (i, j), v in sorted(quad.items())]
 
     q_vec = np.zeros(n)
     for j, v in q_lin.items():
@@ -412,15 +384,10 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     q, c = qp.q, qp.c
     A = qp.A.to_csr()
 
-    is_eq = qp.row_lower == qp.row_upper
-    if eq_as_h:
-        eq_rows = np.flatnonzero(is_eq)
-        up_rows = np.flatnonzero(np.isfinite(qp.row_upper) & ~is_eq)
-        lo_rows = np.flatnonzero(np.isfinite(qp.row_lower) & ~is_eq)
-    else:
-        eq_rows = np.zeros(0, dtype=int)
-        up_rows = np.flatnonzero(np.isfinite(qp.row_upper))
-        lo_rows = np.flatnonzero(np.isfinite(qp.row_lower))
+    as_h = (qp.row_lower == qp.row_upper) & eq_as_h
+    eq_rows = np.flatnonzero(as_h)
+    up_rows = np.flatnonzero(np.isfinite(qp.row_upper) & ~as_h)
+    lo_rows = np.flatnonzero(np.isfinite(qp.row_lower) & ~as_h)
 
     A_eq = A[eq_rows]
     b_eq = qp.row_lower[eq_rows]

@@ -113,6 +113,8 @@ class TestRuns:
         assert float(fields["rho_max"]) == 1e-3
         assert float(fields["nu_max"]) == 1e-3
         assert float(fields["gamma"]) == 0.1
+        # Residuals come from the KKT report at the start, not zeros.
+        assert float(fields["stationarity"]) > 0
 
     def test_multiple_variants_write_suffixed_traces(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -427,9 +427,14 @@ def counting(prob):
 
 
 class TestOneEvaluationPerPoint:
-    """``run`` evaluates h and g once per point: the line search's value
-    and gradient at a candidate, the outer diagnostics and the KKT report
-    share one evaluation."""
+    """``run`` evaluates f1, h and g once per point: the line search's
+    value and gradient at a candidate, the outer diagnostics and the KKT
+    report share one evaluation."""
+
+    each_variant = pytest.mark.parametrize("settings", [
+        dict(variant=Variant.PBALM), dict(variant=Variant.BALM),
+        dict(variant=Variant.ALM, xi1=10.0, xi2=10.0)],
+        ids=["pbalm", "balm", "alm"])
 
     def test_basis_pursuit_h_per_grad(self):
         _, prob, x0 = gen_basis_pursuit(20, 50, 5, 0)
@@ -453,10 +458,7 @@ class TestOneEvaluationPerPoint:
         assert res.status is SolveStatus.EPS_KKT
         assert calls["g"] <= 1.25 * res.trace[-1].inner_grad_evals
 
-    @pytest.mark.parametrize("settings", [
-        dict(variant=Variant.PBALM), dict(variant=Variant.BALM),
-        dict(variant=Variant.ALM, xi1=10.0, xi2=10.0)],
-        ids=["pbalm", "balm", "alm"])
+    @each_variant
     def test_subproblem_gradient_is_not_recomputed(self, settings):
         # The subproblem's value and gradient at its solution come back
         # from the inner solve. Beyond the inner gradients, J^T is applied
@@ -476,6 +478,26 @@ class TestOneEvaluationPerPoint:
         res = run(prob, x0, OuterConfig(**settings))
         assert res.status is SolveStatus.EPS_KKT
         assert calls[0] == res.trace[-1].inner_grad_evals + len(res.trace) + 1
+
+    @each_variant
+    def test_f1_not_called_twice_on_one_point(self, settings):
+        # The trace row's f1_value, the completed square in the
+        # diagnostics and the next reference test reuse the inner solve's
+        # f1 at its solution.
+        qp = make_random_eq_qp(8, 3, 2)
+        prob = qp_problem(qp)
+        points = []
+
+        def f1(x, f1=prob.f1):
+            points.append(x)  # keeps every argument alive, so ids differ
+            return f1(x)
+
+        x0 = (np.zeros(8) if settings["variant"] is Variant.ALM
+              else qp.feasible_point(np.random.default_rng(0)))
+        res = run(dataclasses.replace(prob, f1=f1), x0, OuterConfig(**settings))
+        assert res.status is SolveStatus.EPS_KKT
+        assert len(points) > len(res.trace)
+        assert not any(a is b for a, b in zip(points, points[1:]))
 
 
 class TestPenaltyCheckAtEntry:

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pbalm.qps import (
     parse_qps_file,
     qp_to_problem,
 )
+from pbalm import problem
 from pbalm.outer import OuterConfig, SolveStatus, run
 from conftest import fd_grad, rel_err
 
@@ -312,6 +314,22 @@ class TestBounds:
             parse_qps(_bounds_qps(["UP BND X1 -1", "LO BND X1 0"]))
         assert info.value.line_no == 8
 
+    @pytest.mark.parametrize("records", [["PL BND X1"],
+                                         ["UP BND X1 -1", "PL BND X1"]],
+                             ids=["alone", "after-negative-up"])
+    def test_pl_sets_only_the_upper_bound(self, records):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qp = parse_qps(_bounds_qps(records))
+        np.testing.assert_array_equal(qp.var_lower, [0.0])
+        np.testing.assert_array_equal(qp.var_upper, [INF])
+
+    def test_pl_is_not_a_lower_bound_record(self):
+        with pytest.warns(UserWarning, match="line 8"):
+            qp = parse_qps(_bounds_qps(["PL BND X1", "UP BND X1 -1"]))
+        np.testing.assert_array_equal(qp.var_lower, [-INF])
+        np.testing.assert_array_equal(qp.var_upper, [-1.0])
+
 
 class TestAssembly:
     def test_g_equals_two_product_form_bitwise(self):
@@ -420,6 +438,13 @@ class TestMalformedCorpus:
     def test_all_errors_are_parse_errors(self):
         for fname, exc, _ in self.CASES:
             assert issubclass(exc, QpsParseError)
+
+    def test_crossed_bounds_caught_as_the_problem_error(self):
+        # One except clause catches crossed bounds from a QPS file and
+        # from box_problem_terms; the reader's error keeps its line.
+        with pytest.raises(problem.CrossedBoundsError) as info:
+            parse_qps_file(os.path.join(MALFORMED, "crossed_bounds.qps"))
+        assert info.value.line_no == 11
 
     def test_data_before_section_header(self):
         with pytest.raises(QpsParseError):

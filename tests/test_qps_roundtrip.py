@@ -3,7 +3,8 @@
 ``write_qps`` is a small writer for the tests only. It covers the fixed
 layout (fields at the MPS columns 2, 5, 15, 25, 40 and 50) and the free
 form, QUADOBJ and QMATRIX, RANGES on L, G and E rows, every bound type
-but PL, and Fortran ``D``/``d`` exponents. The generated QpData are in
+(PL as a redundant record on each column with no upper bound), and
+Fortran ``D``/``d`` exponents. The generated QpData are in
 the parser's canonical form: A's entries column by column, Q's lower
 triangle sorted, and row ranges on a dyadic grid, so that RANGES
 arithmetic is exact.
@@ -59,8 +60,7 @@ def _bound_records(lo: float, up: float):
         out.append(("MI", None))
     elif lo != 0.0:
         out.append(("LO", lo))
-    if up != INF:
-        out.append(("UP", up))
+    out.append(("UP", up) if up != INF else ("PL", None))
     return out
 
 
