@@ -4,7 +4,8 @@ per-iteration trace as CSV or JSON.
 Gradient-evaluation counting: the trace column ``inner_grad_evals`` is the
 cumulative number of smooth-gradient evaluations of the subproblem
 objective; each such evaluation internally applies both constraint
-Jacobians once.
+Jacobians once.  The summary's ``grad_evals`` is the whole solve's count,
+a failing last subproblem included.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
         "variant": variant_name,
         "status": result.status.value,
         "outer_iterations": len(result.trace),
-        "grad_evals": last.inner_grad_evals if last else 0,
+        "grad_evals": result.grad_evals,
         # At result.x with the final multipliers, as in the last trace
         # row; a run that wrote no row still reports its residuals.
         "eq_infeas": result.kkt.eq_infeas,

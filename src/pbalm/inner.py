@@ -8,9 +8,10 @@ test.  Deterministic: identical inputs produce identical outputs.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +26,12 @@ class NonFiniteValueError(FloatingPointError):
     """The subproblem cannot be solved in floating point: a value or
     gradient is NaN or infinite, or no stepsize down to the solver's floor
     satisfies the descent lemma, so its curvature exceeds what the iterates
-    can resolve.  Usually bad penalty scaling upstream."""
+    can resolve.  Usually bad penalty scaling upstream.  ``grad_evals``
+    counts the smooth-gradient calls the solve made before it raised."""
+
+    def __init__(self, message: str, grad_evals: int):
+        super().__init__(message)
+        self.grad_evals = grad_evals
 
 
 @dataclass
@@ -53,19 +59,16 @@ class _LbfgsMemory:
     """Two-loop recursion over the fixed-point residual mapping."""
 
     def __init__(self, memory: int):
-        self.memory = memory
-        self.pairs: list = []  # (s, y, s.y), oldest first; push computes s.y
+        # (s, y, s.y), oldest first; once full, append drops the oldest.
+        self.pairs: collections.deque = collections.deque(maxlen=memory)
 
     def reset(self) -> None:
         self.pairs.clear()
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s @ y)
-        if sy <= 1e-12 * math.sqrt(s @ s) * math.sqrt(y @ y):
-            return
-        self.pairs.append((s, y, sy))
-        if len(self.pairs) > self.memory:
-            self.pairs.pop(0)
+        if not sy <= 1e-12 * math.sqrt(s @ s) * math.sqrt(y @ y):  # NaN passes
+            self.pairs.append((s, y, sy))
 
     def direction(self, r: np.ndarray) -> np.ndarray:
         if not self.pairs:
@@ -95,11 +98,6 @@ def _norm2(v: np.ndarray) -> float:
     return s * np.linalg.norm(v / s) if np.isfinite(s) else s
 
 
-def _check_finite(v) -> None:
-    if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
-        raise NonFiniteValueError("non-finite value in subproblem evaluation")
-
-
 def solve_subproblem(
     smooth_value: Callable[[np.ndarray], float],
     smooth_grad: Callable[[np.ndarray], np.ndarray],
@@ -107,43 +105,54 @@ def solve_subproblem(
     x0: np.ndarray,
     tol: float,
     cfg: InnerConfig,
-    nonsmooth_value: Optional[Callable[[np.ndarray], float]] = None,
+    nonsmooth_value: Callable[[np.ndarray], float] = lambda z: 0.0,
 ) -> InnerResult:
     """Minimize smooth_value + nonsmooth until the natural residual
     ||x - prox(x - grad, 1)||_inf drops below tol > 0.
 
     The returned residual is always recomputed from a fresh gradient at
     the returned point, and that gradient and the smooth value there come
-    back with it.  grad_evals counts every smooth_grad call.  The
-    returned point is never the ``x0`` array itself, and ``x0`` is not
-    modified.
+    back with it.  grad_evals counts every smooth_grad call, on the result
+    and on a raised NonFiniteValueError alike.  The returned point is never
+    the ``x0`` array itself, and ``x0`` is not modified.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_grad = 0
 
+    def finite(v):
+        if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            raise NonFiniteValueError(
+                "non-finite value in subproblem evaluation", n_grad)
+        return v
+
     def grad(z: np.ndarray) -> np.ndarray:
         nonlocal n_grad
         n_grad += 1
-        out = np.asarray(smooth_grad(z), dtype=float)
-        _check_finite(out)
-        return out
+        return finite(np.asarray(smooth_grad(z), dtype=float))
 
-    def f2val(z: np.ndarray) -> float:
-        if nonsmooth_value is None:
-            return 0.0
-        return float(nonsmooth_value(z))
+    def forward_backward(z: np.ndarray, gz: np.ndarray):
+        """The prox point of z at the current gamma, and the step z - zbar."""
+        zbar = prox(z - gamma * gz, gamma)
+        return zbar, z - zbar
+
+    def result(z: np.ndarray, fz: float, gz: np.ndarray) -> InnerResult:
+        """Exit at z, given the value and a fresh gradient there."""
+        residual = inf_norm(z - prox(z - gz, 1.0))
+        return InnerResult(x=z, value=fz, grad=gz, residual=residual,
+                           iterations=iterations, grad_evals=n_grad,
+                           converged=residual <= tol)
 
     x = np.asarray(x0, dtype=float)
-    fx = float(smooth_value(x))
-    _check_finite(fx)
+    fx = finite(float(smooth_value(x)))
     g = grad(x)
 
-    # Already tau-stationary: return immediately with zero iterations.
-    res0 = inf_norm(x - prox(x - g, 1.0))
-    if res0 <= tol:
-        return InnerResult(x=x.copy(), value=fx, grad=g, residual=res0,
-                           iterations=0, grad_evals=n_grad, converged=True)
+    # Already tau-stationary: return the start with zero iterations.
+    iterations = 0
+    best_x, best_f = x.copy(), fx
+    start = result(best_x, fx, g)
+    if start.converged:
+        return start
 
     # One finite-difference probe of the local Lipschitz constant.
     gnorm = _norm2(g)
@@ -156,12 +165,8 @@ def solve_subproblem(
     gamma_min = 1e-14
     sigma = 1e-4  # sufficient decrease of the envelope line search
     mem = _LbfgsMemory(cfg.memory)
+    best_obj = fx + nonsmooth_value(x)
 
-    best_x, best_f = x.copy(), fx
-    best_obj = fx + f2val(x)
-
-    iterations = 0
-    converged = False
     for iterations in range(1, cfg.max_iters + 1):
         # Forward-backward step, backtracking gamma until the quadratic
         # upper bound holds at the prox point.  The slack only absorbs the
@@ -169,21 +174,20 @@ def solve_subproblem(
         # itself, and a looser test lets too long a step through unnoticed.
         slack = _ROUNDING * (1.0 + abs(fx))
         while True:
-            xbar = prox(x - gamma * g, gamma)
-            r = x - xbar
+            xbar, r = forward_backward(x, g)
             rsq = float(r @ r)
-            fbar = float(smooth_value(xbar))
-            _check_finite(fbar)
+            fbar = finite(float(smooth_value(xbar)))
             ub = fx - float(g @ r) + rsq / (2.0 * gamma)
             if fbar <= ub + slack:
                 break
             if gamma <= gamma_min:
                 raise NonFiniteValueError(
-                    f"no step down to {gamma_min:g} satisfies the descent lemma")
+                    f"no step down to {gamma_min:g} satisfies the descent lemma",
+                    n_grad)
             gamma *= 0.5
             mem.reset()
 
-        f2bar = f2val(xbar)
+        f2bar = nonsmooth_value(xbar)
         obj_bar = fbar + f2bar
         if obj_bar < best_obj:
             best_obj = obj_bar
@@ -197,7 +201,7 @@ def solve_subproblem(
 
         accepted = False
         if not near_stationary:
-            fbe = fx - float(g @ r) + rsq / (2.0 * gamma) + f2bar
+            fbe = ub + f2bar  # envelope at x: the bound just passed, plus f2
             d = mem.direction(r)
             tau = 1.0
             for _ in range(12):
@@ -205,34 +209,24 @@ def solve_subproblem(
                 fc = float(smooth_value(cand))
                 if math.isfinite(fc):
                     gc = grad(cand)
-                    cbar = prox(cand - gamma * gc, gamma)
-                    rc = cand - cbar
+                    cbar, rc = forward_backward(cand, gc)
                     fbe_c = (fc - float(gc @ rc) + float(rc @ rc) / (2.0 * gamma)
-                             + f2val(cbar))
+                             + nonsmooth_value(cbar))
                     if fbe_c <= fbe - sigma * rsq / (2.0 * gamma):
                         accepted = True
                         break
                 tau *= 0.5
         if not accepted:
             # Plain proximal-gradient step.
-            cand, fc = xbar, fbar
-            gc = grad(cand)
+            cand, fc, gc = xbar, fbar, grad(xbar)
             if near_stationary:
-                res = inf_norm(cand - prox(cand - gc, 1.0))
-                if res <= tol:
-                    return InnerResult(x=cand, value=fc, grad=gc, residual=res,
-                                       iterations=iterations, grad_evals=n_grad,
-                                       converged=True)
-            cbar = prox(cand - gamma * gc, gamma)
-            rc = cand - cbar
+                out = result(cand, fc, gc)
+                if out.converged:
+                    return out
+            _, rc = forward_backward(cand, gc)
 
         mem.push(cand - x, rc - r)
         x, fx, g = cand, fc, gc
 
-    # Out of iterations: return the best feasible iterate seen, with the
-    # residual recomputed from scratch there.
-    gb = grad(best_x)
-    res = inf_norm(best_x - prox(best_x - gb, 1.0))
-    return InnerResult(x=best_x, value=best_f, grad=gb, residual=res,
-                       iterations=iterations, grad_evals=n_grad,
-                       converged=res <= tol)
+    # Out of iterations: the best feasible iterate seen, certified afresh.
+    return result(best_x, best_f, grad(best_x))

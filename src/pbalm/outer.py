@@ -189,6 +189,7 @@ class SolveResult:
     trace: List[IterationRecord]
     diagnostics: List[DiagnosticRecord]
     penalties: PenaltyState  # in force at exit: the failing ones on NUMERICAL_FAILURE
+    grad_evals: int  # smooth-gradient calls of every inner solve, a failing one too
 
 
 def al_bound(x0: np.ndarray, center: np.ndarray, f_x0: float, gamma: float,
@@ -388,7 +389,8 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             res = solve_subproblem(smooth_value, smooth_grad, prob.prox_f2,
                                    x_hat, tau_k, cfg.inner,
                                    nonsmooth_value=prob.f2_value)
-        except NonFiniteValueError:
+        except NonFiniteValueError as exc:
+            cum_grad += exc.grad_evals
             status = SolveStatus.NUMERICAL_FAILURE
             break
         x_new = res.x
@@ -455,4 +457,5 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     eps = max(cfg.stop_tol, tau_k)
     report = kkt_report(prob, x, mult, eps)
     return SolveResult(x=x, mult=mult, status=status, kkt=report,
-                       trace=trace, diagnostics=diagnostics, penalties=pen)
+                       trace=trace, diagnostics=diagnostics, penalties=pen,
+                       grad_evals=cum_grad)

@@ -115,6 +115,8 @@ class TestRuns:
         assert float(fields["gamma"]) == 0.1
         # Residuals come from the KKT report at the start, not zeros.
         assert float(fields["stationarity"]) > 0
+        # The failing inner solve's gradients count too.
+        assert fields["grad_evals"] == "5"
 
     def test_multiple_variants_write_suffixed_traces(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -187,11 +187,12 @@ class TestContract:
         def onto_diagonal(z, step):
             return np.full(2, 0.5 * (z[0] + z[1]))
 
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(NonFiniteValueError) as exc:
             solve_subproblem(
                 lambda x: 0.5 * x[0] ** 2 + 0.5 * K * (x[1] - 1.0) ** 2,
                 grad, onto_diagonal, np.ones(2), 1e-8, InnerConfig())
         assert len(grads) == 2  # the start and the probe: no step taken
+        assert exc.value.grad_evals == 2
 
     def test_step_probe_survives_huge_gradient(self):
         # ||g||^2 overflows here; a plain 2-norm would make the first
@@ -228,19 +229,76 @@ class TestContract:
         c = np.array([2.0, -1.0, 0.5])
         D = np.array([1.0, 10.0, 100.0])
         points = []
+        calls = dict(value=0, grad=0, prox=0)
 
         def counting_f2(x):
             points.append(x)  # keeps every argument alive, so ids differ
             return f2(x)
 
-        res = solve_subproblem(
-            lambda x: 0.5 * float((x - c) @ (D * (x - c))),
-            lambda x: D * (x - c),
-            prox, np.full(3, 0.9), 1e-10, InnerConfig(),
-            nonsmooth_value=counting_f2,
-        )
+        def value(x):
+            calls["value"] += 1
+            return 0.5 * float((x - c) @ (D * (x - c)))
+
+        def grad(x):
+            calls["grad"] += 1
+            return D * (x - c)
+
+        def counting_prox(x, step):
+            calls["prox"] += 1
+            return prox(x, step)
+
+        res = solve_subproblem(value, grad, counting_prox, np.full(3, 0.9),
+                               1e-10, InnerConfig(),
+                               nonsmooth_value=counting_f2)
         assert res.converged and res.iterations > 1
         assert len({id(p) for p in points}) == len(points)
+        # Every oracle call of this solve, pinned.
+        assert (res.iterations, res.grad_evals) == (16, 19)
+        assert calls == dict(value=34, grad=19, prox=35)
+        assert len(points) == 33
+
+
+def exit_zero_iterations():
+    """Already stationary at the start."""
+    a = np.array([1.0, -2.0])
+    return (lambda x: 0.5 * float((x - a) @ (x - a)), lambda x: x - a,
+            identity_prox, a.copy(), 1e-6, InnerConfig())
+
+
+def exit_near_stationary():
+    """A box-constrained quadratic that stops at the near-stationary test."""
+    _, prox = box_problem_terms(np.zeros(3), np.ones(3))
+    c = np.array([2.0, -1.0, 0.5])
+    D = np.array([1.0, 10.0, 100.0])
+    return (lambda x: 0.5 * float((x - c) @ (D * (x - c))),
+            lambda x: D * (x - c), prox, np.full(3, 0.9), 1e-10, InnerConfig())
+
+
+def exit_max_iters():
+    """Too ill-conditioned to converge in three iterations."""
+    D = np.array([1.0, 1e6])
+    return (lambda x: 0.5 * float(x @ (D * x)), lambda x: D * x,
+            identity_prox, np.array([1.0, 1.0]), 1e-14, InnerConfig(max_iters=3))
+
+
+class TestResultAtEachExit:
+    """Every exit returns a fresh array with the smooth value, the
+    gradient and the unit-step natural residual at it."""
+
+    @pytest.mark.parametrize("case, iterations, converged", [
+        (exit_zero_iterations, 0, True),
+        (exit_near_stationary, 16, True),
+        (exit_max_iters, 3, False),
+    ], ids=["zero-iterations", "near-stationary", "max-iters"])
+    def test_value_grad_and_residual_at_the_returned_point(
+            self, case, iterations, converged):
+        value, grad, prox, x0, tol, cfg = case()
+        res = solve_subproblem(value, grad, prox, x0, tol, cfg)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert res.x is not x0
+        assert res.value == value(res.x)
+        assert res.grad.tobytes() == grad(res.x).tobytes()
+        assert res.residual == np.max(np.abs(res.x - prox(res.x - res.grad, 1.0)))
 
 
 def reference_two_loop(pairs, r):

@@ -328,6 +328,9 @@ class TestRun:
         # No trace row shows them, so the result reports the penalties
         # that failed.
         assert res.penalties == PenaltyState(rho=1e-3, nu=1e-3, gamma=0.1)
+        # The failing solve's gradients count: the start, the probe and
+        # one at each of the three steps before the value overflows.
+        assert res.grad_evals == 5
 
     def test_alm_allows_infeasible_start(self):
         prob = simplex_qp()
@@ -347,6 +350,7 @@ class TestRun:
         assert all(a <= b for a, b in zip(nu, nu[1:]))
         grads = [r.inner_grad_evals for r in res.trace]
         assert all(a <= b for a, b in zip(grads, grads[1:]))
+        assert res.grad_evals == grads[-1]
 
     @pytest.mark.parametrize("settings", [
         dict(variant=Variant.PBALM),
