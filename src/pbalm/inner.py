@@ -1,9 +1,11 @@
 """Inexact subproblem solver: smooth term plus a proximable term.
 
-Forward-backward splitting with limited-memory quasi-Newton acceleration
-and a line search over the forward-backward envelope, falling back to the
-plain proximal-gradient step when the fast candidate fails the decrease
-test.  Deterministic: identical inputs produce identical outputs.
+Forward-backward splitting with limited-memory quasi-Newton acceleration.
+Once the memory holds a pair, a line search over the forward-backward
+envelope runs along the quasi-Newton direction; while it is empty, or when
+no candidate passes the decrease test, the plain proximal-gradient step is
+taken.  Each point gets one value, one gradient, one prox step and one f2.
+Deterministic: identical inputs produce identical outputs.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ class _LbfgsMemory:
             self.pairs.append((s, y, sy))
 
     def direction(self, r: np.ndarray) -> np.ndarray:
-        if not self.pairs:
-            return -r
         q = r.copy()
         alphas = []
         for s, y, sy in reversed(self.pairs):
@@ -132,9 +132,9 @@ def solve_subproblem(
         return finite(np.asarray(smooth_grad(z), dtype=float))
 
     def forward_backward(z: np.ndarray, gz: np.ndarray):
-        """The prox point of z at the current gamma, and the step z - zbar."""
+        """(zbar, z - zbar, f2(zbar)), zbar the prox point at this gamma."""
         zbar = prox(z - gamma * gz, gamma)
-        return zbar, z - zbar
+        return zbar, z - zbar, nonsmooth_value(zbar)
 
     def result(z: np.ndarray, fz: float, gz: np.ndarray) -> InnerResult:
         """Exit at z, given the value and a fresh gradient there."""
@@ -166,15 +166,15 @@ def solve_subproblem(
     sigma = 1e-4  # sufficient decrease of the envelope line search
     mem = _LbfgsMemory(cfg.memory)
     best_obj = fx + nonsmooth_value(x)
+    xbar, r, f2bar = forward_backward(x, g)
 
     for iterations in range(1, cfg.max_iters + 1):
-        # Forward-backward step, backtracking gamma until the quadratic
-        # upper bound holds at the prox point.  The slack only absorbs the
+        # Backtrack gamma until the quadratic upper bound holds at the prox
+        # point carried from the last iteration.  The slack only absorbs the
         # rounding of fx and fbar: the envelope line search needs the bound
         # itself, and a looser test lets too long a step through unnoticed.
         slack = _ROUNDING * (1.0 + abs(fx))
         while True:
-            xbar, r = forward_backward(x, g)
             rsq = float(r @ r)
             fbar = finite(float(smooth_value(xbar)))
             ub = fx - float(g @ r) + rsq / (2.0 * gamma)
@@ -186,8 +186,8 @@ def solve_subproblem(
                     n_grad)
             gamma *= 0.5
             mem.reset()
+            xbar, r, f2bar = forward_backward(x, g)
 
-        f2bar = nonsmooth_value(xbar)
         obj_bar = fbar + f2bar
         if obj_bar < best_obj:
             best_obj = obj_bar
@@ -200,22 +200,20 @@ def solve_subproblem(
         near_stationary = inf_norm(r) <= tol * min(1.0, gamma)
 
         accepted = False
-        if not near_stationary:
+        if not near_stationary and mem.pairs:
             fbe = ub + f2bar  # envelope at x: the bound just passed, plus f2
             d = mem.direction(r)
-            tau = 1.0
-            for _ in range(12):
+            for tau in (0.5 ** i for i in range(12)):
                 cand = x - (1.0 - tau) * r + tau * d
                 fc = float(smooth_value(cand))
                 if math.isfinite(fc):
                     gc = grad(cand)
-                    cbar, rc = forward_backward(cand, gc)
+                    cbar, rc, f2c = forward_backward(cand, gc)
                     fbe_c = (fc - float(gc @ rc) + float(rc @ rc) / (2.0 * gamma)
-                             + nonsmooth_value(cbar))
+                             + f2c)
                     if fbe_c <= fbe - sigma * rsq / (2.0 * gamma):
                         accepted = True
                         break
-                tau *= 0.5
         if not accepted:
             # Plain proximal-gradient step.
             cand, fc, gc = xbar, fbar, grad(xbar)
@@ -223,10 +221,10 @@ def solve_subproblem(
                 out = result(cand, fc, gc)
                 if out.converged:
                     return out
-            _, rc = forward_backward(cand, gc)
+            cbar, rc, f2c = forward_backward(cand, gc)
 
         mem.push(cand - x, rc - r)
-        x, fx, g = cand, fc, gc
+        x, fx, g, xbar, r, f2bar = cand, fc, gc, cbar, rc, f2c
 
     # Out of iterations: the best feasible iterate seen, certified afresh.
     return result(best_x, best_f, grad(best_x))

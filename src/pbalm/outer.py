@@ -334,7 +334,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     rule max{||h||_inf, ||E||_inf} <= stop_tol (used by the phase-I driver,
     which terminates on feasibility of the base problem instead).
 
-    ``f1``, ``h`` and ``g`` are evaluated once per point: the run
+    ``f1``, ``f2``, ``h`` and ``g`` are evaluated once per point: the run
     remembers the last point each was called on and reuses the result
     when the same array comes back.  The solver never changes an evaluated
     point in place, and ``stop_when`` must not modify ``x`` either.
@@ -346,12 +346,13 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     P-BALM and BALM raise InfeasibleStartError unless x0 is feasible
     within FEAS_TOL; ALM accepts any finite x0."""
     prob = dataclasses.replace(prob, f1=_last_point(prob.f1),
+                               f2_value=_last_point(prob.f2_value),
                                h=_last_point(prob.h), g=_last_point(prob.g))
     x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point has non-finite entries")
 
-    x = x0.copy()  # checked, so the first iteration reuses h(x) and g(x)
+    x = x0.copy()  # checked, so the first iteration reuses its evaluations
     if (cfg.variant is not Variant.ALM
             and not check_feasible(prob, x, FEAS_TOL)):
         raise InfeasibleStartError(
@@ -365,7 +366,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     h_inf = inf_norm(prob.h(x)) if prob.p else 0.0
     g_x = prob.g(x) if prob.m else np.zeros(0)
     E_inf = inf_norm(compute_E(g_x, mult.mu, pen.nu))
-    f_x0 = eval_objective(prob, x0)
+    f_x0 = eval_objective(prob, x)
 
     trace: List[IterationRecord] = []
     diagnostics: List[DiagnosticRecord] = []

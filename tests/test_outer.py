@@ -487,21 +487,31 @@ class TestOneEvaluationPerPoint:
     def test_f1_not_called_twice_on_one_point(self, settings):
         # The trace row's f1_value, the completed square in the
         # diagnostics and the next reference test reuse the inner solve's
-        # f1 at its solution.
+        # f1 at its solution.  Likewise for f2: f(x0), the start's
+        # feasibility check and the first reference test (ALM: the first
+        # inner start) share one call, and so do the trace row's f2_value
+        # and the next reference test.
         qp = make_random_eq_qp(8, 3, 2)
         prob = qp_problem(qp)
-        points = []
+        points = {"f1": [], "f2_value": []}
 
-        def f1(x, f1=prob.f1):
-            points.append(x)  # keeps every argument alive, so ids differ
-            return f1(x)
+        def recording(name):
+            fn = getattr(prob, name)
+
+            def call(x):
+                points[name].append(x)  # keeps every argument alive
+                return fn(x)
+            return call
 
         x0 = (np.zeros(8) if settings["variant"] is Variant.ALM
               else qp.feasible_point(np.random.default_rng(0)))
-        res = run(dataclasses.replace(prob, f1=f1), x0, OuterConfig(**settings))
+        res = run(dataclasses.replace(prob, f1=recording("f1"),
+                                      f2_value=recording("f2_value")),
+                  x0, OuterConfig(**settings))
         assert res.status is SolveStatus.EPS_KKT
-        assert len(points) > len(res.trace)
-        assert not any(a is b for a, b in zip(points, points[1:]))
+        for name, seen in points.items():
+            assert len(seen) > len(res.trace), name
+            assert not any(a is b for a, b in zip(seen, seen[1:])), name
 
 
 class TestPenaltyCheckAtEntry:
