@@ -220,7 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    worst = 0
     for (result, summary), variant_name in zip(outputs, variants):
         if args.out and args.out != "-":
             out_path = args.out
@@ -253,9 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parts = [f"{key}={_fmt(val) if isinstance(val, float) else val}"
                  for key, val in summary.items()]
         print(" ".join(parts))
-        if result.status is not SolveStatus.EPS_KKT:
-            worst = max(worst, 2)
-    return worst
+    return 0 if all(r.status is SolveStatus.EPS_KKT for r, _ in outputs) else 2
 
 
 if __name__ == "__main__":

@@ -394,7 +394,8 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             cum_grad += exc.grad_evals
             status = SolveStatus.NUMERICAL_FAILURE
             break
-        x_new = res.x
+        # x_hat itself keeps its evaluations; x0's identity marks a reset.
+        x_new = x_hat if res.iterations == 0 and x_hat is not x0 else res.x
         cum_grad += res.grad_evals
         h = prob.h(x_new) if prob.p else np.zeros(0)
         g = prob.g(x_new) if prob.m else np.zeros(0)

@@ -86,9 +86,7 @@ def eval_objective(prob: ProblemSpec, x: np.ndarray) -> float:
     """f(x) = f1(x) + f2(x); +inf outside dom f2."""
     x = prob.check_x(x)
     f2 = prob.f2_value(x)
-    if not np.isfinite(f2):
-        return np.inf
-    return prob.f1(x) + f2
+    return prob.f1(x) + f2 if np.isfinite(f2) else np.inf
 
 
 def check_feasible(prob: ProblemSpec, x: np.ndarray, tol: float) -> bool:
@@ -103,9 +101,7 @@ def check_feasible(prob: ProblemSpec, x: np.ndarray, tol: float) -> bool:
     if h.size and not np.max(np.abs(h)) <= tol:
         return False
     g = prob.g(x)
-    if g.size and not np.max(g) <= tol:
-        return False
-    return True
+    return not g.size or bool(np.max(g) <= tol)
 
 
 def box_problem_terms(lower: np.ndarray, upper: np.ndarray):

@@ -26,7 +26,8 @@ def gen_basis_pursuit(p: int, n: int, k: int, seed: int
     [B, -B] x^{.2} = b, with x^{.2} the elementwise square.
 
     Returns the instance, the problem over 2n variables, and a feasible
-    start built from the minimum-norm least-squares solution of B z = b.
+    start split from the minimum-norm solution z = B^T (B B^T)^{-1} b of
+    B z = b; a B without full row rank raises ValueError.
     """
     if not (0 < p < n):
         raise ValueError("need 0 < p < n")
@@ -61,15 +62,19 @@ def gen_basis_pursuit(p: int, n: int, k: int, seed: int
         name=f"basis-pursuit-p{p}-n{n}-k{k}-s{seed}",
     )
 
-    z_ls, _, rank, _ = np.linalg.lstsq(B, b, rcond=None)
-    if np.linalg.norm(B @ z_ls - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-        raise ValueError(
-            f"rank-deficient sensing matrix (rank {rank}); resample the seed"
-        )
-    x_feasible = np.concatenate([
-        np.sqrt(np.maximum(z_ls, 0.0)),
-        np.sqrt(np.maximum(-z_ls, 0.0)),
-    ])
+    # A B that loses rank need not zero an LU pivot of B B^T, but it takes
+    # the Cholesky diagonal to about sqrt(eps) of its largest entry.
+    G = B @ B.T
+    try:
+        d = np.diag(np.linalg.cholesky(G))
+        z_ls = B.T @ np.linalg.solve(G, b)
+        if (d.min() <= 1e-6 * d.max() or np.linalg.norm(B @ z_ls - b)
+                > 1e-8 * (1.0 + np.linalg.norm(b))):
+            raise np.linalg.LinAlgError("Gram matrix near singular")
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("rank-deficient B; resample the seed") from exc
+    x_feasible = np.sqrt(np.concatenate([np.maximum(z_ls, 0.0),
+                                         np.maximum(-z_ls, 0.0)]))
     return inst, prob, x_feasible
 
 

@@ -513,6 +513,31 @@ class TestOneEvaluationPerPoint:
             assert len(seen) > len(res.trace), name
             assert not any(a is b for a, b in zip(seen, seen[1:])), name
 
+    @each_variant
+    def test_zero_iteration_exit_reuses_reference_point(self, settings):
+        # An inner solve whose start is already tau-stationary returns a
+        # copy of the reference point; the outer loop goes on with the
+        # reference itself, so h and f1 are not evaluated again on equal
+        # bytes.
+        _, prob, x0 = gen_basis_pursuit(20, 50, 5, 0)
+        args = {"h": [], "f1": []}
+
+        def recording(name):
+            fn = getattr(prob, name)
+
+            def call(x):
+                args[name].append(x.tobytes())
+                return fn(x)
+            return call
+
+        res = run(dataclasses.replace(prob, h=recording("h"),
+                                      f1=recording("f1")),
+                  x0, OuterConfig(**settings))
+        assert res.status is SolveStatus.EPS_KKT
+        assert any(row.inner_iters == 0 for row in res.trace)
+        for name, seen in args.items():
+            assert not any(a == b for a, b in zip(seen, seen[1:])), name
+
 
 class TestPenaltyCheckAtEntry:
     """``OuterConfig`` checks rho0, nu0 and gamma0 when it is built, so a

@@ -44,6 +44,38 @@ class TestBasisPursuit:
         z = xf[:n] ** 2 - xf[n:] ** 2
         np.testing.assert_allclose(inst.B @ z, inst.b, atol=1e-10)
 
+    @pytest.mark.parametrize("p, n", [(20, 50), (200, 512), (49, 50),
+                                      (199, 200)])
+    def test_start_is_minimum_norm_solution(self, p, n):
+        inst, _, xf = gen_basis_pursuit(p, n, 5, seed=0)
+        z = xf[:n] ** 2 - xf[n:] ** 2
+        z_min = np.linalg.lstsq(inst.B, inst.b, rcond=None)[0]
+        assert np.linalg.norm(z - z_min) <= 1e-12 * np.linalg.norm(z_min)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_row_rejected(self, monkeypatch, seed):
+        # b = B z* stays consistent, so the residual test passes, and the
+        # LU of B B^T leaves a small nonzero pivot on these seeds: only the
+        # Cholesky rank test rejects B.
+        default_rng = np.random.default_rng
+
+        class RepeatedRow:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def standard_normal(self, shape):
+                B = self._rng.standard_normal(shape)
+                B[-1] = B[0]
+                return B
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", RepeatedRow)
+        with pytest.raises(ValueError, match="rank-deficient") as exc:
+            gen_basis_pursuit(20, 50, 5, seed=seed)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
     def test_gradients_match_fd(self):
         _, prob, _ = gen_basis_pursuit(5, 12, 2, seed=1)
         rng = np.random.default_rng(0)
