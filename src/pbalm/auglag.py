@@ -143,30 +143,21 @@ def compute_E(g_x: np.ndarray, mu_prev: np.ndarray, nu_prev: float) -> np.ndarra
     return np.minimum(-g_x, mu_prev / nu_prev)
 
 
-def natural_residual(prob: ProblemSpec, x: np.ndarray, grad: np.ndarray) -> float:
-    """||x - prox_f2(x - grad)||_inf; zero exactly at stationary points."""
-    x = np.asarray(x, dtype=float)
-    return inf_norm(x - prob.prox_f2(x - grad, 1.0))
+def natural_residual(prox, x: np.ndarray, grad: np.ndarray) -> float:
+    """||x - prox(x - grad, 1)||_inf; zero exactly at stationary points."""
+    return inf_norm(x - prox(x - grad, 1.0))
 
 
-def kkt_report(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
-               epsilon: float) -> KktReport:
-    """Residuals of the epsilon-KKT conditions at (x, lam, mu)."""
+def kkt_report(stationarity: float, h: np.ndarray, g: np.ndarray,
+               mu: np.ndarray, epsilon: float) -> KktReport:
+    """The epsilon-KKT conditions from h, g, the inequality multipliers mu
+    and the natural residual of the Lagrangian gradient at one point."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    x = prob.check_x(x)
-    stationarity = natural_residual(prob, x, grad_lagrangian(prob, x, mult))
-    h_x = prob.h(x) if prob.p else np.zeros(0)
-    g_x = prob.g(x) if prob.m else np.zeros(0)
-    comp_ok = True
-    if prob.m:
-        comp_ok = bool(np.all(mult.mu >= 0)) and bool(
-            np.all(mult.mu[g_x < -epsilon] == 0)
-        )
     return KktReport(
         stationarity=stationarity,
-        eq_infeas=inf_norm(h_x),
-        ineq_infeas=inf_norm(np.maximum(0.0, g_x)),
-        complementarity_ok=comp_ok,
+        eq_infeas=inf_norm(h),
+        ineq_infeas=inf_norm(np.maximum(0.0, g)),
+        complementarity_ok=bool(np.all(mu >= 0) and np.all(mu[g < -epsilon] == 0)),
         epsilon=epsilon,
     )

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .auglag import compute_E, inf_norm
 from .inner import InnerConfig
 from .outer import (
     FEAS_TOL,
@@ -69,6 +70,17 @@ def trace_to_json(trace: List[IterationRecord], config: dict, summary: dict) -> 
                       indent=2, default=float) + "\n"
 
 
+def variant_list(text: str) -> List[str]:
+    """--variant: comma-separated, distinct names of pbalm, balm, alm."""
+    names = [v.strip().lower() for v in text.split(",")]
+    for i, name in enumerate(names):
+        if name not in (v.value for v in Variant):
+            raise argparse.ArgumentTypeError(f"unknown variant {name!r}")
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"variant {name!r} given twice")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     outer, inner = OuterConfig(), InnerConfig()
     p = argparse.ArgumentParser(
@@ -83,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fixture", choices=sorted(FIXTURES),
                      help="bundled QPS fixture")
 
-    p.add_argument("--variant", default="pbalm",
+    p.add_argument("--variant", type=variant_list, default="pbalm",
                    help="comma-separated subset of pbalm,balm,alm")
     p.add_argument("--alpha", type=float, default=outer.phi.alpha,
                    help="growth exponent for pbalm/balm (must be > 1)")
@@ -151,18 +163,18 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
     result = run(prob, x0, cfg)
     wall = time.perf_counter() - t0
 
-    last = result.trace[-1] if result.trace else None
     summary = {
         "problem": prob.name,
         "variant": variant_name,
         "status": result.status.value,
         "outer_iterations": len(result.trace),
         "grad_evals": result.grad_evals,
-        # At result.x with the final multipliers, as in the last trace
-        # row; a run that wrote no row still reports its residuals.
+        # At result.x with the final multipliers and penalties; a run that
+        # wrote no row still reports its residuals.
         "eq_infeas": result.kkt.eq_infeas,
         "ineq_infeas": result.kkt.ineq_infeas,
-        "E_norm": last.E_norm if last else 0.0,
+        "E_norm": inf_norm(compute_E(prob.g(result.x), result.mult.mu,
+                                     result.penalties.nu)),
         "stationarity": result.kkt.stationarity,
         # The penalties in force at exit: those that failed, on a
         # numerical failure, which writes no trace row.
@@ -172,10 +184,11 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
         "f1_value": float(prob.f1(result.x)),
         "wall_time_s": wall,
     }
-    if args.f1_star is not None and last is not None:
+    if args.f1_star is not None:
         denom = abs(float(prob.f1(x0)) - args.f1_star)
         if denom > 0:
-            summary["suboptimality_gap"] = abs(last.f1_value - args.f1_star) / denom
+            summary["suboptimality_gap"] = (abs(summary["f1_value"] - args.f1_star)
+                                            / denom)
     return result, summary
 
 
@@ -192,13 +205,7 @@ def _build_problem(args, seed: int):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    variants = [v.strip().lower() for v in args.variant.split(",") if v.strip()]
-    for v in variants:
-        if v not in ("pbalm", "balm", "alm"):
-            parser.error(f"unknown variant {v!r}")
+    args = build_parser().parse_args(argv)
 
     delta = args.delta
     if delta is None:
@@ -209,7 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     outputs = []
     try:
         prob, x0 = _build_problem(args, args.seed)
-        for v in variants:
+        for v in args.variant:
             cfg = _make_config(args, Variant(v), delta, args.seed)
             start = x0
             if args.phase1:
@@ -220,10 +227,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    for (result, summary), variant_name in zip(outputs, variants):
+    for (result, summary), variant_name in zip(outputs, args.variant):
         if args.out and args.out != "-":
             out_path = args.out
-            if len(variants) > 1:
+            if len(args.variant) > 1:
                 root, ext = os.path.splitext(args.out)
                 out_path = f"{root}.{variant_name}{ext}"
             config_dict = {

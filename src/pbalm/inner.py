@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .auglag import inf_norm
+from .auglag import inf_norm, natural_residual
 
 
 # Relative slack of the backtracking test: a few units in the last place.
@@ -113,8 +113,9 @@ def solve_subproblem(
     The returned residual is always recomputed from a fresh gradient at
     the returned point, and that gradient and the smooth value there come
     back with it.  grad_evals counts every smooth_grad call, on the result
-    and on a raised NonFiniteValueError alike.  The returned point is never
-    the ``x0`` array itself, and ``x0`` is not modified.
+    and on a raised NonFiniteValueError alike.  ``x0`` is not modified.
+    The returned point is the ``x0`` array itself on a zero-iteration exit,
+    and when no iterate improves on it before the iterations run out.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -138,7 +139,7 @@ def solve_subproblem(
 
     def result(z: np.ndarray, fz: float, gz: np.ndarray) -> InnerResult:
         """Exit at z, given the value and a fresh gradient there."""
-        residual = inf_norm(z - prox(z - gz, 1.0))
+        residual = natural_residual(prox, z, gz)
         return InnerResult(x=z, value=fz, grad=gz, residual=residual,
                            iterations=iterations, grad_evals=n_grad,
                            converged=residual <= tol)
@@ -149,8 +150,8 @@ def solve_subproblem(
 
     # Already tau-stationary: return the start with zero iterations.
     iterations = 0
-    best_x, best_f = x.copy(), fx
-    start = result(best_x, fx, g)
+    best_x, best_f = x, fx
+    start = result(x, fx, g)
     if start.converged:
         return start
 
@@ -191,7 +192,7 @@ def solve_subproblem(
         obj_bar = fbar + f2bar
         if obj_bar < best_obj:
             best_obj = obj_bar
-            best_x, best_f = xbar.copy(), fbar
+            best_x, best_f = xbar, fbar
 
         # Cheap proxy first: ||x - T_gamma x||/gamma bounds the unit-step
         # residual from above for gamma <= 1, so this trigger cannot fire

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -204,21 +204,20 @@ def al_bound(x0: np.ndarray, center: np.ndarray, f_x0: float, gamma: float,
 
 def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
                      pen: PenaltyState, x0: np.ndarray, f_x0: float,
-                     cfg: OuterConfig) -> np.ndarray:
-    """Reference-point test: keep the current iterate x while the augmented
-    Lagrangian there stays below the bound anchored at the feasible x0,
-    whose objective value is f_x0; otherwise fall back to x0.  Returns x0
-    itself (same object) on reset.
+                     cfg: OuterConfig) -> Tuple[np.ndarray, bool]:
+    """Reference-point test: (x, False) while the augmented Lagrangian at
+    the current iterate x stays below the bound anchored at the feasible
+    x0, whose objective value is f_x0; otherwise the reset (x0, True).
     """
     if cfg.variant is Variant.ALM:
-        return x
+        return x, False
     f2_x = prob.f2_value(x)
     if not np.isfinite(f2_x):
-        return x0
+        return x0, True
     # The proximal term centered at x itself is exactly 0.
     lhs = eval_al(prob, x, mult, pen.rho, pen.nu) + f2_x
     rhs = al_bound(x0, x, f_x0, pen.gamma, cfg.variant is Variant.PBALM)
-    return x if lhs <= rhs else x0
+    return (x, False) if lhs <= rhs else (x0, True)
 
 
 def update_multipliers(mult: Multipliers, pen: PenaltyState, h: np.ndarray,
@@ -296,7 +295,7 @@ def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
                   and bool(np.all(mult_new.mu[g < -E_inf] == 0.0)))
 
     d = x - x_hat
-    return natural_residual(prob, x, grad_L), DiagnosticRecord(
+    return natural_residual(prob.prox_f2, x, grad_L), DiagnosticRecord(
         dual_identity_rel_err=dual_err,
         grad_identity_rel_err=grad_err,
         completed_square_rel_err=cs_err,
@@ -339,6 +338,9 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     when the same array comes back.  The solver never changes an evaluated
     point in place, and ``stop_when`` must not modify ``x`` either.
 
+    The exit KKT report reuses the h, g and Lagrangian-gradient residual
+    that certify the last iterate, or the start when no row was written.
+
     A non-finite value inside a subproblem solve ends the run with status
     NUMERICAL_FAILURE at the last finite outer iterate; the result's
     ``penalties`` are then the ones that failed.
@@ -348,13 +350,12 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     prob = dataclasses.replace(prob, f1=_last_point(prob.f1),
                                f2_value=_last_point(prob.f2_value),
                                h=_last_point(prob.h), g=_last_point(prob.g))
-    x0 = prob.check_x(x0).copy()
+    x = x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point has non-finite entries")
 
-    x = x0.copy()  # checked, so the first iteration reuses its evaluations
     if (cfg.variant is not Variant.ALM
-            and not check_feasible(prob, x, FEAS_TOL)):
+            and not check_feasible(prob, x0, FEAS_TOL)):
         raise InfeasibleStartError(
             f"initial point is not feasible within {FEAS_TOL}"
         )
@@ -363,10 +364,13 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     pen = PenaltyState(rho=cfg.rho0, nu=cfg.nu0, gamma=cfg.gamma0)
     proximal = cfg.variant is Variant.PBALM
 
-    h_inf = inf_norm(prob.h(x)) if prob.p else 0.0
-    g_x = prob.g(x) if prob.m else np.zeros(0)
-    E_inf = inf_norm(compute_E(g_x, mult.mu, pen.nu))
-    f_x0 = eval_objective(prob, x)
+    # The certificate of (x, mult), replaced by each iteration.
+    h = prob.h(x0) if prob.p else np.zeros(0)
+    g = prob.g(x0) if prob.m else np.zeros(0)
+    stationarity = natural_residual(prob.prox_f2, x0,
+                                    grad_lagrangian(prob, x0, mult))
+    h_inf, E_inf = inf_norm(h), inf_norm(compute_E(g, mult.mu, pen.nu))
+    f_x0 = eval_objective(prob, x0)
 
     trace: List[IterationRecord] = []
     diagnostics: List[DiagnosticRecord] = []
@@ -377,7 +381,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     for k in range(cfg.max_outer):
         tau_k = cfg.tau_schedule(k)
         # 1. Reference point.
-        x_hat = select_reference(prob, x, mult, pen, x0, f_x0, cfg)
+        x_hat, reset = select_reference(prob, x, mult, pen, x0, f_x0, cfg)
 
         # 2. Subproblem, warm-started at the reference.
         if proximal:
@@ -394,11 +398,9 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             cum_grad += exc.grad_evals
             status = SolveStatus.NUMERICAL_FAILURE
             break
-        # x_hat itself keeps its evaluations; x0's identity marks a reset.
-        x_new = x_hat if res.iterations == 0 and x_hat is not x0 else res.x
         cum_grad += res.grad_evals
-        h = prob.h(x_new) if prob.p else np.zeros(0)
-        g = prob.g(x_new) if prob.m else np.zeros(0)
+        h = prob.h(res.x) if prob.p else np.zeros(0)
+        g = prob.g(res.x) if prob.m else np.zeros(0)
         E = compute_E(g, mult.mu, pen.nu)
 
         # 3. Multipliers.
@@ -409,10 +411,10 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         pen_new = PenaltyState(
             update_penalty(pen.rho, h_new_inf, h_inf, cfg.xi1, cfg.rho0, cfg, k),
             update_penalty(pen.nu, E_new_inf, E_inf, cfg.xi2, cfg.nu0, cfg, k),
-            update_gamma(x0, x_new, cfg, k) if proximal else pen.gamma)
+            update_gamma(x0, res.x, cfg, k) if proximal else pen.gamma)
 
-        f2_new = prob.f2_value(x_new)
-        stationarity, diag = diagnose(prob, x_new, x_hat, mult, mult_new, pen,
+        f2_new = prob.f2_value(res.x)
+        stationarity, diag = diagnose(prob, res.x, x_hat, mult, mult_new, pen,
                                       pen_new, h, g, E, res.value, res.grad,
                                       proximal)
         diagnostics.append(diag)
@@ -421,7 +423,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
                  - al_bound(x0, x_hat, f_x0, pen.gamma, proximal))
         trace.append(IterationRecord(
             k=k,
-            f1_value=prob.f1(x_new),
+            f1_value=prob.f1(res.x),
             f2_value=f2_new,
             eq_infeas=h_new_inf,
             ineq_infeas=inf_norm(np.maximum(0.0, g)),
@@ -433,11 +435,11 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
             inner_iters=res.iterations,
             inner_grad_evals=cum_grad,
             inner_converged=res.converged,
-            reference_reset=x_hat is x0,
+            reference_reset=reset,
             al_bound_slack=slack,
         ))
 
-        x, mult, pen, h_inf, E_inf = x_new, mult_new, pen_new, h_new_inf, E_new_inf
+        x, mult, pen, h_inf, E_inf = res.x, mult_new, pen_new, h_new_inf, E_new_inf
 
         # 5. Stop.
         if stop_when is not None:
@@ -456,8 +458,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     if status is SolveStatus.MAX_OUTER_REACHED and trace and not trace[-1].inner_converged:
         status = SolveStatus.INNER_FAILURE
 
-    eps = max(cfg.stop_tol, tau_k)
-    report = kkt_report(prob, x, mult, eps)
+    report = kkt_report(stationarity, h, g, mult.mu, max(cfg.stop_tol, tau_k))
     return SolveResult(x=x, mult=mult, status=status, kkt=report,
                        trace=trace, diagnostics=diagnostics, penalties=pen,
                        grad_evals=cum_grad)

@@ -10,6 +10,7 @@ from pbalm.auglag import (
     eval_pal,
     eval_pal_completed_square,
     grad_al,
+    grad_lagrangian,
     grad_pal,
     inf_norm,
     kkt_report,
@@ -184,18 +185,26 @@ class TestComputeE:
 class TestNaturalResidual:
     def test_fixed_point(self):
         prob = quadratic_problem()
-        assert natural_residual(prob, np.zeros(2), np.zeros(2)) == 0.0
+        assert natural_residual(prob.prox_f2, np.zeros(2), np.zeros(2)) == 0.0
 
     def test_identity_prox(self):
         prob = quadratic_problem()
-        assert natural_residual(prob, np.zeros(2), np.array([3.0, -4.0])) == 4.0
+        assert natural_residual(prob.prox_f2, np.zeros(2),
+                                np.array([3.0, -4.0])) == 4.0
 
     def test_box_prox(self):
-        f2, prox = box_problem_terms(np.zeros(1), np.ones(1))
-        prob = ProblemSpec(n=1, f1=lambda x: 0.0, grad_f1=lambda x: np.zeros(1),
-                           f2_value=f2, prox_f2=prox)
+        _, prox = box_problem_terms(np.zeros(1), np.ones(1))
         # x=0, grad=-2: prox(0 - (-2)) = prox(2) = 1, residual |0 - 1| = 1
-        assert natural_residual(prob, np.zeros(1), np.array([-2.0])) == 1.0
+        assert natural_residual(prox, np.zeros(1), np.array([-2.0])) == 1.0
+
+
+def report_at(prob, x, mult, epsilon):
+    """kkt_report at (x, mult) from the problem's own maps."""
+    stationarity = natural_residual(prob.prox_f2, x,
+                                    grad_lagrangian(prob, x, mult))
+    h = prob.h(x) if prob.p else np.zeros(0)
+    g = prob.g(x) if prob.m else np.zeros(0)
+    return kkt_report(stationarity, h, g, mult.mu, epsilon)
 
 
 class TestKktReport:
@@ -203,7 +212,7 @@ class TestKktReport:
         # min x^2 s.t. x = 1: x* = 1, lambda* = -2
         prob = one_d_problem()
         mult = Multipliers(np.array([-2.0]), np.zeros(0))
-        rep = kkt_report(prob, np.array([1.0]), mult, epsilon=0.0)
+        rep = report_at(prob, np.array([1.0]), mult, epsilon=0.0)
         assert rep.stationarity == 0.0
         assert rep.eq_infeas == 0.0
         assert rep.ineq_infeas == 0.0
@@ -213,7 +222,7 @@ class TestKktReport:
     def test_unconstrained_minimizer(self):
         prob = quadratic_problem()
         mult = Multipliers(np.zeros(0), np.zeros(0))
-        rep = kkt_report(prob, np.zeros(2), mult, epsilon=0.0)
+        rep = report_at(prob, np.zeros(2), mult, epsilon=0.0)
         assert rep.is_eps_kkt
 
     def test_complementarity_violation(self):
@@ -224,11 +233,11 @@ class TestKktReport:
             jac_g_transpose_apply=lambda x, y: np.zeros(1),
         )
         mult = Multipliers(np.zeros(0), np.array([0.3]))
-        rep = kkt_report(prob, np.zeros(1), mult, epsilon=0.1)
+        rep = report_at(prob, np.zeros(1), mult, epsilon=0.1)
         assert not rep.complementarity_ok
         assert not rep.is_eps_kkt
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            kkt_report(quadratic_problem(), np.zeros(2),
-                       Multipliers(np.zeros(0), np.zeros(0)), epsilon=-1.0)
+            kkt_report(0.0, np.zeros(0), np.zeros(0), np.zeros(0),
+                       epsilon=-1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -36,6 +37,15 @@ class TestParser:
     def test_bad_variant_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["--fixture", "tiny_eq", "--variant", "nope"])
+
+    @pytest.mark.parametrize("spec", [",", "pbalm,", "alm,alm", "pbalm, PBALM"])
+    def test_empty_or_repeated_variant_is_a_usage_error(self, spec, capsys):
+        # Once solved nothing and exited 0, or solved a variant twice and
+        # wrote its trace over the first.
+        with pytest.raises(SystemExit) as exc:
+            main(["--fixture", "tiny_eq", "--variant", spec])
+        assert exc.value.code == 2
+        assert "--variant" in capsys.readouterr().err
 
     def test_bad_bp_spec_rejected(self):
         with pytest.raises(SystemExit):
@@ -117,6 +127,23 @@ class TestRuns:
         assert float(fields["stationarity"]) > 0
         # The failing inner solve's gradients count too.
         assert fields["grad_evals"] == "5"
+
+    def test_summary_without_rows_reports_E_at_the_start(self, monkeypatch,
+                                                         capsys):
+        # g(x) = x - 100 holds at x0 = 10, where P-BALM's first subproblem
+        # fails; E = min(-g(x0), mu0/nu0) = min(90, 125.7...) there.
+        prob = dataclasses.replace(
+            neg_exp_problem(), m=1, g=lambda x: x - 100.0,
+            jac_g_transpose_apply=lambda x, y: y.copy())
+        monkeypatch.setattr(cli, "_build_problem",
+                            lambda args, seed: (prob, np.array([10.0])))
+        with np.errstate(over="ignore"):
+            code = main(["--fixture", "tiny_eq", "--variant", "pbalm"])
+        assert code == 2
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert fields["status"] == "numerical_failure"
+        assert fields["outer_iterations"] == "0"
+        assert float(fields["E_norm"]) == 90.0
 
     def test_multiple_variants_write_suffixed_traces(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -89,9 +89,9 @@ class TestContract:
         assert res.converged
         assert res.iterations == 0
 
-    def test_returned_point_is_never_the_start_array(self):
-        # The solver evaluates at x0 itself (no start copy); a returned
-        # point must still be a distinct array, even with zero iterations.
+    def test_zero_iteration_exit_returns_the_start_array(self):
+        # The solver evaluates at x0 itself (no start copy), and an exit
+        # with zero iterations returns that array unmodified.
         x0 = np.zeros(2)
         seen = []
 
@@ -102,8 +102,9 @@ class TestContract:
         res = solve_subproblem(value, lambda x: x, identity_prox, x0,
                                1e-6, InnerConfig())
         assert seen[0] is x0
-        assert res.x is not x0
-        np.testing.assert_array_equal(res.x, x0)
+        assert res.iterations == 0
+        assert res.x is x0
+        np.testing.assert_array_equal(res.x, np.zeros(2))
 
     def test_residual_recomputed_fresh(self):
         a = np.array([1.0, 2.0])
@@ -316,8 +317,9 @@ class TestOneCallPerPoint:
 
 
 class TestResultAtEachExit:
-    """Every exit returns a fresh array with the smooth value, the
-    gradient and the unit-step natural residual at it."""
+    """Every exit returns the smooth value, the gradient and the unit-step
+    natural residual at its point: the start array itself on a
+    zero-iteration exit, a fresh array otherwise."""
 
     @pytest.mark.parametrize("case, iterations, converged", [
         (exit_zero_iterations, 0, True),
@@ -329,7 +331,7 @@ class TestResultAtEachExit:
         value, grad, prox, x0, tol, cfg = case()
         res = solve_subproblem(value, grad, prox, x0, tol, cfg)
         assert (res.iterations, res.converged) == (iterations, converged)
-        assert res.x is not x0
+        assert (res.x is x0) == (iterations == 0)
         assert res.value == value(res.x)
         assert res.grad.tobytes() == grad(res.x).tobytes()
         assert res.residual == np.max(np.abs(res.x - prox(res.x - res.grad, 1.0)))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pbalm import outer
 from pbalm.auglag import Multipliers, PenaltyState
 from pbalm.inner import InnerConfig
 from pbalm.outer import (
@@ -231,21 +232,24 @@ class TestSelectReference:
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig()
         x = x0.copy()
-        assert self._select(prob, x, [0.0], x0, cfg) is x
+        x_hat, reset = self._select(prob, x, [0.0], x0, cfg)
+        assert x_hat is x and reset is False
 
     def test_falls_back_on_inflated_multiplier(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig()
         x = np.array([3.0, 0.0])  # feasible but far; huge lambda blows up the AL
-        assert self._select(prob, x, [1e9], x0, cfg) is x0
+        x_hat, reset = self._select(prob, x, [1e9], x0, cfg)
+        assert x_hat is x0 and reset is True
 
     def test_balm_keeps_feasible_iterate(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig(variant=Variant.BALM)
         x = x0.copy()
-        assert self._select(prob, x, [0.0], x0, cfg) is x
+        x_hat, reset = self._select(prob, x, [0.0], x0, cfg)
+        assert x_hat is x and reset is False
 
     def test_objective_evaluated_only_at_iterate(self):
         prob = simplex_qp()
@@ -269,7 +273,8 @@ class TestSelectReference:
         x0 = np.array([1.0, 1.0])
         cfg = OuterConfig(variant=Variant.ALM, xi1=10.0, xi2=10.0)
         x = np.array([5.0, 5.0])
-        assert self._select(prob, x, [1e9], x0, cfg) is x
+        x_hat, reset = self._select(prob, x, [1e9], x0, cfg)
+        assert x_hat is x and reset is False
 
 
 class TestRun:
@@ -432,8 +437,8 @@ def counting(prob):
 
 class TestOneEvaluationPerPoint:
     """``run`` evaluates f1, h and g once per point: the line search's
-    value and gradient at a candidate, the outer diagnostics and the KKT
-    report share one evaluation."""
+    value and gradient at a candidate and the outer diagnostics share one
+    evaluation, and the KKT report needs none."""
 
     each_variant = pytest.mark.parametrize("settings", [
         dict(variant=Variant.PBALM), dict(variant=Variant.BALM),
@@ -467,7 +472,7 @@ class TestOneEvaluationPerPoint:
         # The subproblem's value and gradient at its solution come back
         # from the inner solve. Beyond the inner gradients, J^T is applied
         # once per iteration for the Lagrangian gradient in the
-        # diagnostics and once in the final KKT report.
+        # diagnostics and once for the start's certificate.
         qp = make_random_eq_qp(8, 3, 2)
         prob = qp_problem(qp)
         calls = [0]
@@ -515,10 +520,9 @@ class TestOneEvaluationPerPoint:
 
     @each_variant
     def test_zero_iteration_exit_reuses_reference_point(self, settings):
-        # An inner solve whose start is already tau-stationary returns a
-        # copy of the reference point; the outer loop goes on with the
-        # reference itself, so h and f1 are not evaluated again on equal
-        # bytes.
+        # An inner solve whose start is already tau-stationary returns the
+        # reference point itself, so h and f1 are not evaluated again on
+        # equal bytes.
         _, prob, x0 = gen_basis_pursuit(20, 50, 5, 0)
         args = {"h": [], "f1": []}
 
@@ -537,6 +541,90 @@ class TestOneEvaluationPerPoint:
         assert any(row.inner_iters == 0 for row in res.trace)
         for name, seen in args.items():
             assert not any(a == b for a, b in zip(seen, seen[1:])), name
+
+
+class TestCertificate:
+    """``run`` certifies each iterate once: the exit KKT report is built
+    from the h, g and stationarity of the last iterate, or of the start
+    when no row was written."""
+
+    @pytest.mark.parametrize("problem", ["ineq", "eq-qp"])
+    @pytest.mark.parametrize("settings", [
+        dict(variant=Variant.PBALM), dict(variant=Variant.BALM),
+        dict(variant=Variant.ALM, xi1=10.0, xi2=10.0)],
+        ids=["pbalm", "balm", "alm"])
+    def test_exit_report_is_the_last_row(self, problem, settings):
+        if problem == "ineq":
+            prob, x0 = ineq_problem(), np.zeros(2)
+        else:
+            qp = make_random_eq_qp(8, 3, 2)
+            prob = qp_problem(qp)
+            x0 = qp.feasible_point(np.random.default_rng(0))
+        res = run(prob, x0, tight_cfg(**settings))
+        assert res.status is SolveStatus.EPS_KKT
+        last = res.trace[-1]
+        assert res.kkt.stationarity == last.stationarity
+        assert res.kkt.eq_infeas == last.eq_infeas
+        assert res.kkt.ineq_infeas == last.ineq_infeas
+
+    def test_zero_row_failure_reports_the_start(self):
+        prob = neg_exp_problem()
+        x0 = np.array([10.0])
+        with np.errstate(over="ignore"):
+            res = run(prob, x0, tight_cfg())
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.trace == []
+        expected = abs(x0 - prob.prox_f2(x0 - prob.grad_f1(x0), 1.0))[0]
+        assert res.kkt.stationarity == expected
+        assert res.kkt.eq_infeas == 0.0 and res.kkt.ineq_infeas == 0.0
+
+    def test_kkt_report_calls_no_problem_map(self, monkeypatch):
+        prob = ineq_problem()
+        calls = []
+
+        def counted(name):
+            fn = getattr(prob, name)
+
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        maps = ("f1", "grad_f1", "h", "g", "jac_h_transpose_apply",
+                "jac_g_transpose_apply", "f2_value", "prox_f2")
+        prob = dataclasses.replace(prob, **{m: counted(m) for m in maps})
+        real_report, during = outer.kkt_report, []
+
+        def report(*args):
+            before = len(calls)
+            out = real_report(*args)
+            during.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(outer, "kkt_report", report)
+        res = run(prob, np.zeros(2), tight_cfg())
+        assert res.status is SolveStatus.EPS_KKT
+        assert during == [0]
+
+    def test_reset_then_zero_iteration_exit(self, monkeypatch):
+        # The first reference test is made to reset; the inner solve at
+        # the start, a minimizer, exits at once and returns x0 itself.
+        # The next reference test keeps that iterate, which is no reset.
+        real_select, flags = outer.select_reference, []
+
+        def reset_first(prob, x, mult, pen, x0, f_x0, cfg):
+            out = (x0, True) if not flags else real_select(
+                prob, x, mult, pen, x0, f_x0, cfg)
+            flags.append(out[1])
+            return out
+
+        monkeypatch.setattr(outer, "select_reference", reset_first)
+        res = run(quadratic_problem(), np.zeros(2),
+                  tight_cfg(variant=Variant.BALM, max_outer=2),
+                  stop_when=lambda x: False)
+        assert [row.inner_iters for row in res.trace] == [0, 0]
+        assert [row.reference_reset for row in res.trace] == [True, False]
+        assert flags == [True, False]
 
 
 class TestPenaltyCheckAtEntry:

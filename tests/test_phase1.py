@@ -159,6 +159,14 @@ class TestLiftedVariant:
         x_balm, _ = self._lifted_solves(monkeypatch, Variant.BALM)
         np.testing.assert_array_equal(x, x_balm)
 
+    def test_lifted_exit_report_is_the_last_row(self, monkeypatch):
+        _, calls = self._lifted_solves(monkeypatch, Variant.PBALM)
+        (_, result), = calls
+        last = result.trace[-1]
+        assert result.kkt.stationarity == last.stationarity
+        assert result.kkt.eq_infeas == last.eq_infeas
+        assert result.kkt.ineq_infeas == last.ineq_infeas
+
     @pytest.mark.parametrize("variant", [Variant.BALM, Variant.ALM])
     def test_other_variants_keep_their_own(self, monkeypatch, variant):
         _, calls = self._lifted_solves(monkeypatch, variant)
