@@ -1,7 +1,7 @@
 """Print one sha256 digest per benchmark operation, to show that a change
 leaves every solve's output bit-identical.
 
-    python3 tools/op_digest.py [--workload NAME ...] > digests.txt
+    python3 tools/op_digest.py > digests.txt
 
 Run it from the root of a source checkout: the package is imported from
 ``src/`` and the operations from ``bench/workloads.py`` (read only, never
@@ -18,7 +18,6 @@ any other array there (the phase-I point). Floats are hashed bit for bit.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import enum
 import hashlib
@@ -28,14 +27,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bp-dense", "qp-suite", "qps-ineq")
-RESULT_FIELDS = ("x", "mult", "status", "kkt", "trace", "diagnostics",
-                 "penalties", "grad_evals")
 
 
 def feed(h, obj) -> None:
     """Hash ``obj`` into ``h``, tagging each value with its kind."""
     import numpy as np
-    from pbalm.outer import SolveResult
 
     if isinstance(obj, np.ndarray):
         h.update(f"A{obj.dtype.str}{obj.shape}".encode())
@@ -58,12 +54,10 @@ def feed(h, obj) -> None:
         for item in obj:
             feed(h, item)
     elif dataclasses.is_dataclass(obj):
-        names = (RESULT_FIELDS if isinstance(obj, SolveResult)
-                 else [f.name for f in dataclasses.fields(obj)])
         h.update(f"D{type(obj).__name__}".encode())
-        for name in names:
-            h.update(f"{name}=".encode())
-            feed(h, getattr(obj, name))
+        for f in dataclasses.fields(obj):
+            h.update(f"{f.name}=".encode())
+            feed(h, getattr(obj, f.name))
     else:
         raise TypeError(f"cannot digest {type(obj).__name__}")
 
@@ -74,12 +68,7 @@ def digest(out) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", nargs="+", choices=WORKLOADS,
-                   default=list(WORKLOADS))
-    args = p.parse_args(argv)
-
+def main() -> int:
     # Before numpy is imported.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -90,7 +79,7 @@ def main(argv=None) -> int:
     if Path(pbalm.__file__).resolve().parent != ROOT / "src" / "pbalm":
         print(f"error: imported pbalm from {pbalm.__file__}", file=sys.stderr)
         return 2
-    for name in args.workload:
+    for name in WORKLOADS:
         for size, small in (("small", True), ("full", False)):
             for op in workloads.make(name, small=small).setup():
                 try:
