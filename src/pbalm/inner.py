@@ -6,11 +6,23 @@ envelope runs along the quasi-Newton direction; while it is empty, or when
 no candidate passes the decrease test, the plain proximal-gradient step is
 taken.  Each point gets one value, one gradient, one prox step and one f2.
 Deterministic: identical inputs produce identical outputs.
+
+The L-BFGS memory keeps its k <= memory pairs (s_i, y_i), oldest first, as
+the rows of matrices S and Y, with sy_i = s_i.y_i and the inverse of the
+upper triangle R = triu(S Y^T).  The direction at the residual r is the
+two-loop recursion in the compact form of Byrd, Nocedal and Schnabel
+(1994):
+
+    a = R^-1 (S r),  q = theta (r - Y^T a),  c = R^-T (sy * a - Y q),
+    d = -(q + S^T c),
+
+theta = sy/yy of the newest pair: four (k x n) products and two k x k
+ones.  A push costs three dot products, one (k x n) product and one k x k
+one; dropping the oldest pair costs nothing.  Numpy alone, no scipy.linalg.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -58,33 +70,77 @@ class InnerResult:
 
 
 class _LbfgsMemory:
-    """Two-loop recursion over the fixed-point residual mapping."""
+    """L-BFGS over the fixed-point residual mapping, in the compact form of
+    Byrd, Nocedal and Schnabel (1994).
 
-    def __init__(self, memory: int):
-        # (s, y, s.y), oldest first; once full, append drops the oldest.
-        self.pairs: collections.deque = collections.deque(maxlen=memory)
+    A push keeps a pair unless s.y <= 1e-12 |s| |y|; a full memory drops
+    its oldest pair, and ``reset()`` empties it.  The k pairs (s_i, y_i),
+    oldest first, are the rows lo..hi-1 of the (2 memory, n) buffers S and
+    Y, a window that slides down the buffers and is copied back to row 0
+    when it reaches their end, once per ``memory`` pushes.  Beside them sit
+    sy_i = s_i.y_i and the inverse of R = triu(S Y^T), upper triangular, at
+    the same indices.  A push appends one column to R^-1,
+    -R^-1 (S y) / sy above the diagonal and 1/sy on it: one (k x n) product
+    and one k x k one, besides the three dot products of the curvature
+    test.  Dropping the oldest pair moves ``lo`` and costs nothing, because
+    the trailing block of an upper-triangular inverse is the inverse of the
+    trailing block.
+
+    ``direction(r)`` is the two-loop recursion with its scalar recurrences
+    solved as triangular systems: a = R^-1 (S r), q = theta (r - Y^T a)
+    with theta = sy/yy of the newest pair, c = R^-T (sy * a - Y q), and the
+    direction is -(q + S^T c).  That is four (k x n) products and two
+    k x k ones.
+    """
+
+    def __init__(self, memory: int, n: int):
+        self.memory = memory
+        self.S = np.empty((2 * memory, n))
+        self.Y = np.empty((2 * memory, n))
+        self.sy = np.empty(2 * memory)
+        self.Rinv = np.zeros((2 * memory, 2 * memory))
+        self.lo = self.hi = 0
+        self.theta = 1.0
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
 
     def reset(self) -> None:
-        self.pairs.clear()
+        self.lo = self.hi = 0
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s @ y)
-        if not sy <= 1e-12 * math.sqrt(s @ s) * math.sqrt(y @ y):  # NaN passes
-            self.pairs.append((s, y, sy))
+        yy = float(y @ y)
+        if sy <= 1e-12 * math.sqrt(s @ s) * math.sqrt(yy):  # NaN passes
+            return
+        lo, hi = self.lo, self.hi
+        if hi - lo == self.memory:
+            lo += 1
+        if hi == self.sy.size:  # the window is at the end: back to row 0
+            hi -= lo
+            for buf in (self.S, self.Y, self.sy):
+                buf[:hi] = buf[lo:]
+            self.Rinv[:hi, :hi] = self.Rinv[lo:, lo:]
+            lo = 0
+        self.S[hi] = s
+        self.Y[hi] = y
+        self.sy[hi] = sy
+        Rinv = self.Rinv
+        Rinv[lo:hi, hi] = (Rinv[lo:hi, lo:hi] @ (self.S[lo:hi] @ y)) / -sy
+        Rinv[hi, hi] = 1.0 / sy
+        self.lo, self.hi, self.theta = lo, hi + 1, sy / yy
 
     def direction(self, r: np.ndarray) -> np.ndarray:
-        q = r.copy()
-        alphas = []
-        for s, y, sy in reversed(self.pairs):
-            a = float(s @ q) / sy
-            alphas.append(a)
-            q -= a * y
-        _, y, sy = self.pairs[-1]
-        q *= sy / float(y @ y)
-        for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
-            b = float(y @ q) / sy
-            q += (a - b) * s
-        return -q
+        lo, hi = self.lo, self.hi
+        S, Y, Rinv = self.S[lo:hi], self.Y[lo:hi], self.Rinv[lo:hi, lo:hi]
+        a = Rinv @ (S @ r)
+        q = a @ Y
+        np.subtract(r, q, out=q)
+        q *= self.theta
+        minus_c = (Y @ q - self.sy[lo:hi] * a) @ Rinv
+        d = minus_c @ S
+        d -= q
+        return d
 
 
 def _norm2(v: np.ndarray) -> float:
@@ -165,7 +221,7 @@ def solve_subproblem(
 
     gamma_min = 1e-14
     sigma = 1e-4  # sufficient decrease of the envelope line search
-    mem = _LbfgsMemory(cfg.memory)
+    mem = _LbfgsMemory(cfg.memory, x.size)
     best_obj = fx + nonsmooth_value(x)
     xbar, r, f2bar = forward_backward(x, g)
 
@@ -201,7 +257,7 @@ def solve_subproblem(
         near_stationary = inf_norm(r) <= tol * min(1.0, gamma)
 
         accepted = False
-        if not near_stationary and mem.pairs:
+        if not near_stationary and len(mem):
             fbe = ub + f2bar  # envelope at x: the bound just passed, plus f2
             d = mem.direction(r)
             for tau in (0.5 ** i for i in range(12)):
