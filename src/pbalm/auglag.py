@@ -1,8 +1,10 @@
 """Augmented Lagrangian evaluations, residuals and KKT certificates.
 
-All functions here are stateless over immutable inputs.  The penalty
-weights rho and nu are positive scalars, which ``outer.OuterConfig``
-checks when it is built.
+All functions here are stateless over immutable inputs.  Their callers
+guarantee the inputs: x is a float vector of length n, which ``outer.run``
+checks once on its start point and every iterate keeps, and the penalty
+weights rho and nu and the stepsize gamma are positive scalars, which
+``outer.OuterConfig`` checks when it is built.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def _ineq_terms(g_x: np.ndarray, mu: np.ndarray, nu: float) -> float:
 def eval_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
             rho: float, nu: float) -> float:
     """Augmented Lagrangian without the proximal term (f2 excluded)."""
-    x = prob.check_x(x)
     val = prob.f1(x)
     if prob.p:
         h_x = prob.h(x)
@@ -89,17 +90,14 @@ def eval_pal(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     Adds (1/2gamma)||x - v||^2 to the non-proximal value, centering the
     subproblem at v.
     """
-    if pen.gamma <= 0:
-        raise ValueError("gamma must be strictly positive")
     val = eval_al(prob, x, mult, pen.rho, pen.nu)
-    d = np.asarray(x, dtype=float) - np.asarray(v, dtype=float)
+    d = x - v
     return val + float(d @ d) / (2.0 * pen.gamma)
 
 
 def grad_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
             rho: float, nu: float) -> np.ndarray:
     """Gradient of eval_al in x: grad f1 + Jh^T(lam + rho h) + Jg^T [nu g + mu]_+."""
-    x = prob.check_x(x)
     grad = prob.grad_f1(x).astype(float, copy=True)
     if prob.p:
         h_x = prob.h(x)
@@ -112,17 +110,14 @@ def grad_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
 
 def grad_pal(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
              pen: PenaltyState, v: np.ndarray) -> np.ndarray:
-    if pen.gamma <= 0:
-        raise ValueError("gamma must be strictly positive")
     grad = grad_al(prob, x, mult, pen.rho, pen.nu)
-    return grad + (np.asarray(x, dtype=float) - np.asarray(v, dtype=float)) / pen.gamma
+    return grad + (x - v) / pen.gamma
 
 
 def eval_pal_completed_square(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
                               pen: PenaltyState, v: np.ndarray) -> float:
     """Equivalent rewriting of eval_pal with the equality penalty completed
     into a square; used as an exactness cross-check."""
-    x = prob.check_x(x)
     val = prob.f1(x)
     if prob.p:
         rho = pen.rho
@@ -134,7 +129,7 @@ def eval_pal_completed_square(prob: ProblemSpec, x: np.ndarray, mult: Multiplier
         shifted = np.maximum(0.0, nu * prob.g(x) + mult.mu)
         val += float(np.sum(shifted**2 / (2.0 * nu)))
         val -= float(np.sum(mult.mu**2 / (2.0 * nu)))
-    d = x - np.asarray(v, dtype=float)
+    d = x - v
     return val + float(d @ d) / (2.0 * pen.gamma)
 
 

@@ -138,11 +138,9 @@ def _parse_bp_dims(spec: str, parser: argparse.ArgumentParser):
 
 
 def _make_config(args, variant: Variant, delta: float, seed: int) -> OuterConfig:
-    # OuterConfig sets the baseline's phi to 0 and checks its xi > 1.
-    if variant is Variant.ALM:
-        growth = dict(xi1=args.xi, xi2=args.xi)
-    else:
-        growth = dict(phi=GrowthFn.power(args.alpha))
+    # OuterConfig checks every setting, sets the baseline's phi to 0 and
+    # checks its xi > 1; xi applies to the baseline alone.
+    xi = dict(xi1=args.xi, xi2=args.xi) if variant is Variant.ALM else {}
     return OuterConfig(
         variant=variant,
         beta=args.beta,
@@ -153,8 +151,9 @@ def _make_config(args, variant: Variant, delta: float, seed: int) -> OuterConfig
         stop_tol=args.stop_tol,
         max_outer=args.max_outer,
         inner=InnerConfig(memory=args.inner_memory, max_iters=args.max_inner),
+        phi=GrowthFn.power(args.alpha),
         seed=seed,
-        **growth,
+        **xi,
     )
 
 

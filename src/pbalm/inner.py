@@ -7,18 +7,9 @@ no candidate passes the decrease test, the plain proximal-gradient step is
 taken.  Each point gets one value, one gradient, one prox step and one f2.
 Deterministic: identical inputs produce identical outputs.
 
-The L-BFGS memory keeps its k <= memory pairs (s_i, y_i), oldest first, as
-the rows of matrices S and Y, with sy_i = s_i.y_i and the inverse of the
-upper triangle R = triu(S Y^T).  The direction at the residual r is the
-two-loop recursion in the compact form of Byrd, Nocedal and Schnabel
-(1994):
-
-    a = R^-1 (S r),  q = theta (r - Y^T a),  c = R^-T (sy * a - Y q),
-    d = -(q + S^T c),
-
-theta = sy/yy of the newest pair: four (k x n) products and two k x k
-ones.  A push costs three dot products, one (k x n) product and one k x k
-one; dropping the oldest pair costs nothing.  Numpy alone, no scipy.linalg.
+The L-BFGS direction is the two-loop recursion in the compact form of
+Byrd, Nocedal and Schnabel (1994); ``_LbfgsMemory`` states its formulas
+and their costs.
 """
 
 from __future__ import annotations
@@ -54,8 +45,8 @@ class InnerConfig:
     max_iters: int = 2000
 
     def __post_init__(self) -> None:
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
+        if self.memory < 1 or self.max_iters < 1:
+            raise ValueError("memory and max_iters must be >= 1")
 
 
 @dataclass
@@ -90,7 +81,7 @@ class _LbfgsMemory:
     solved as triangular systems: a = R^-1 (S r), q = theta (r - Y^T a)
     with theta = sy/yy of the newest pair, c = R^-T (sy * a - Y q), and the
     direction is -(q + S^T c).  That is four (k x n) products and two
-    k x k ones.
+    k x k ones, in numpy alone, with no scipy.linalg.
     """
 
     def __init__(self, memory: int, n: int):
@@ -173,7 +164,7 @@ def solve_subproblem(
     The returned point is the ``x0`` array itself on a zero-iteration exit,
     and when no iterate improves on it before the iterations run out.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     n_grad = 0
 

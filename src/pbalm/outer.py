@@ -59,9 +59,10 @@ class Variant(enum.Enum):
 class GrowthFn:
     """Penalty growth schedule phi(k) = value * k**alpha.
 
-    ``power(alpha)`` is k**alpha with alpha > 1, which satisfies the
-    bounded-ratio and superlinear-growth conditions.  ``zero`` is the
-    classical-ALM baseline's schedule, where only the geometric factor acts.
+    ``power(alpha)`` is k**alpha; with alpha > 1, which ``OuterConfig``
+    checks for P-BALM and BALM, it satisfies the bounded-ratio and
+    superlinear-growth conditions.  ``zero`` is the classical-ALM
+    baseline's schedule, where only the geometric factor acts.
     """
 
     alpha: float = 0.0
@@ -69,8 +70,6 @@ class GrowthFn:
 
     @staticmethod
     def power(alpha: float) -> "GrowthFn":
-        if alpha <= 1:
-            raise ValueError("power growth requires alpha > 1")
         return GrowthFn(alpha=alpha)
 
     @staticmethod
@@ -109,12 +108,17 @@ class OuterConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Each test is written so that NaN fails it.
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if self.xi1 < 1 or self.xi2 < 1:
+        if not (self.xi1 >= 1 and self.xi2 >= 1):
             raise ValueError("xi1 and xi2 must be >= 1")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if not self.stop_tol >= 0:
+            raise ValueError("stop_tol must be non-negative")
+        if not self.max_outer >= 0:
+            raise ValueError("max_outer must be non-negative")
         if self.multiplier_init not in ("zeros", "gaussian"):
             raise ValueError("multiplier_init must be 'zeros' or 'gaussian'")
         # Scalars only: float() of an array with ndim > 0 raises TypeError.
@@ -125,7 +129,7 @@ class OuterConfig:
         # Either rule must make the penalties grow, or rho stays at rho0.
         if self.variant is Variant.ALM:
             # The classical baseline grows its penalties geometrically only.
-            if self.xi1 <= 1 or self.xi2 <= 1:
+            if not (self.xi1 > 1 and self.xi2 > 1):
                 raise ValueError("ALM needs xi1 > 1 and xi2 > 1")
             self.phi = GrowthFn.zero()
         elif not (self.phi.value > 0 and self.phi.alpha > 1):

@@ -86,7 +86,7 @@ def find_feasible(base: ProblemSpec, x_start: np.ndarray, tol: float,
     base problem matters there, and the proximal term would tie the slack
     s to the previous iterate, so s would shrink only slowly.  BALM and
     ALM keep their own variant."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     x_start = base.check_x(x_start)
     if check_feasible(base, x_start, tol):

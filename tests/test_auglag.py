@@ -74,13 +74,6 @@ class TestEvalPal:
         x = np.zeros(1)
         assert eval_pal(prob, x, mult, pen, x) == pytest.approx(-0.5)
 
-    def test_nonpositive_gamma_rejected(self):
-        prob = one_d_problem()
-        mult = Multipliers(np.zeros(1), np.zeros(0))
-        pen = PenaltyState(rho=1.0, nu=1.0, gamma=0.0)
-        with pytest.raises(ValueError):
-            eval_pal(prob, np.ones(1), mult, pen, np.zeros(1))
-
 
 class TestEvalAl:
     def test_equals_pal_at_v_eq_x(self):

@@ -85,6 +85,18 @@ class TestRuns:
                      "--xi", "1"]) == 1
         assert "xi1 > 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, name", [
+        (["--delta", "nan"], "delta"),
+        (["--variant", "alm", "--xi", "nan"], "xi1"),
+        (["--stop-tol", "nan"], "stop_tol"),
+        (["--max-outer", "-1"], "max_outer")],
+        ids=["delta-nan", "alm-xi-nan", "stop-tol-nan", "max-outer-negative"])
+    def test_nan_or_negative_setting_exit_1(self, extra, name, capsys):
+        # The first three solved and exited 2, as if the method had failed;
+        # max_outer = -1 gave phase-I no iteration and blamed the problem.
+        assert main(["--fixture", "tiny_eq", "--phase1", *extra]) == 1
+        assert name in capsys.readouterr().err
+
     def test_infeasible_start_without_phase1(self, capsys):
         # tiny_box projects the origin into the box, which violates the
         # G row, so the feasible-start requirement fails

@@ -20,9 +20,17 @@ class TestConfigValidation:
             InnerConfig(memory=0)
 
     def test_tol_positive(self):
-        with pytest.raises(ValueError):
-            solve_subproblem(lambda x: 0.5 * float(x @ x), lambda x: x,
-                             identity_prox, np.ones(2), 0.0, InnerConfig())
+        # tol = NaN ran all max_iters iterations and returned unconverged.
+        for tol in (0.0, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                solve_subproblem(lambda x: 0.5 * float(x @ x), lambda x: x,
+                                 identity_prox, np.ones(2), tol, InnerConfig())
+
+    def test_max_iters_positive(self):
+        # With no iteration allowed, run claimed eps_kkt at the unsolved
+        # feasible start of make_random_eq_qp(8, 3, 2).
+        with pytest.raises(ValueError, match="max_iters"):
+            InnerConfig(max_iters=0)
 
 
 class TestConvergence:

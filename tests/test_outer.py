@@ -18,7 +18,7 @@ from pbalm.outer import (
     update_multipliers,
     update_penalty,
 )
-from pbalm.problem import check_feasible, eval_objective
+from pbalm.problem import ProblemSpec, check_feasible, eval_objective
 from pbalm.problem_gen import gen_basis_pursuit, make_random_eq_qp, qp_problem
 from conftest import (box_qp_1d, ineq_problem, neg_exp_problem,
                       quadratic_problem, simplex_qp)
@@ -35,10 +35,6 @@ def tight_cfg(**kw):
 
 
 class TestGrowthFn:
-    def test_power_requires_alpha_above_one(self):
-        with pytest.raises(ValueError):
-            GrowthFn.power(1.0)
-
     def test_power_values(self):
         phi = GrowthFn.power(4.0)
         assert phi(3) == 81.0
@@ -73,13 +69,32 @@ class TestConfig:
 
     @pytest.mark.parametrize("variant", [Variant.PBALM, Variant.BALM])
     def test_growth_exponent_at_most_one_rejected(self, variant):
-        with pytest.raises(ValueError, match="alpha > 1"):
-            OuterConfig(variant=variant, phi=GrowthFn(alpha=1.0))
+        # GrowthFn.power checks nothing; OuterConfig checks alpha, and a
+        # NaN alpha fails its check too.
+        for phi in (GrowthFn(alpha=1.0), GrowthFn.power(1.0),
+                    GrowthFn.power(np.nan)):
+            with pytest.raises(ValueError, match="alpha > 1"):
+                OuterConfig(variant=variant, phi=phi)
 
     @pytest.mark.parametrize("xi", [dict(), dict(xi1=10.0), dict(xi2=10.0)])
     def test_alm_without_geometric_growth_rejected(self, xi):
         with pytest.raises(ValueError, match="xi1 > 1"):
             OuterConfig(variant=Variant.ALM, **xi)
+
+    # Each passed the checks: delta = NaN ended in numerical_failure with
+    # gamma = NaN after one iteration, stop_tol = NaN ran all max_outer
+    # iterations, and max_outer = -1 returned without one.
+    @pytest.mark.parametrize("settings, name", [
+        (dict(xi1=np.nan), "xi1"), (dict(xi2=np.nan), "xi2"),
+        (dict(variant=Variant.ALM, xi1=np.nan, xi2=10.0), "xi1"),
+        (dict(variant=Variant.ALM, xi1=10.0, xi2=np.nan), "xi2"),
+        (dict(delta=np.nan), "delta"), (dict(stop_tol=np.nan), "stop_tol"),
+        (dict(stop_tol=-1e-5), "stop_tol"), (dict(max_outer=-1), "max_outer")],
+        ids=["xi1-nan", "xi2-nan", "alm-xi1-nan", "alm-xi2-nan", "delta-nan",
+             "stop_tol-nan", "stop_tol-negative", "max_outer-negative"])
+    def test_nan_or_negative_setting_rejected(self, settings, name):
+        with pytest.raises(ValueError, match=name):
+            OuterConfig(**settings)
 
     def test_field_names(self):
         """Every setting is listed here, so adding one changes this test."""
@@ -466,6 +481,30 @@ class TestOneEvaluationPerPoint:
         res = run(prob, np.zeros(2), tight_cfg())
         assert res.status is SolveStatus.EPS_KKT
         assert calls["g"] <= 1.25 * res.trace[-1].inner_grad_evals
+
+    @each_variant
+    def test_start_checked_once(self, settings, monkeypatch):
+        # run checks x0's shape once, and its feasibility check and f(x0)
+        # once each; no evaluation below it checks an iterate again.
+        qp = make_random_eq_qp(8, 3, 2)
+        prob = qp_problem(qp)
+        x0 = (np.zeros(8) if settings["variant"] is Variant.ALM
+              else qp.feasible_point(np.random.default_rng(0)))
+        calls = [0]
+
+        def check_x(self, x, check=ProblemSpec.check_x):
+            calls[0] += 1
+            return check(self, x)
+
+        monkeypatch.setattr(ProblemSpec, "check_x", check_x)
+        counts = []
+        for max_outer in (1, 300):
+            calls[0] = 0
+            res = run(prob, x0, OuterConfig(max_outer=max_outer, **settings))
+            counts.append((len(res.trace), calls[0]))
+        (rows_short, short), (rows_long, long) = counts
+        assert rows_short == 1 and rows_long > 1
+        assert short == long <= 3
 
     @each_variant
     def test_subproblem_gradient_is_not_recomputed(self, settings):

@@ -120,8 +120,12 @@ class TestFindFeasible:
                 find_feasible(base, np.ones(1), tol=1e-6, cfg=OuterConfig())
 
     def test_nonpositive_tol_rejected(self):
-        with pytest.raises(ValueError):
-            find_feasible(eq_qp_1d(), np.zeros(1), tol=0.0, cfg=OuterConfig())
+        # tol = NaN ran the lifted solve to its end, then raised
+        # Phase1Failed.
+        for tol in (0.0, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                find_feasible(eq_qp_1d(), np.zeros(1), tol=tol,
+                              cfg=OuterConfig())
 
 
 def _tiny_eq():
