@@ -147,7 +147,7 @@ def kkt_report(stationarity: float, h: np.ndarray, g: np.ndarray,
                mu: np.ndarray, epsilon: float) -> KktReport:
     """The epsilon-KKT conditions from h, g, the inequality multipliers mu
     and the natural residual of the Lagrangian gradient at one point."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     return KktReport(
         stationarity=stationarity,

@@ -24,7 +24,8 @@ class DimensionMismatchError(ValueError):
 
 
 class CrossedBoundsError(ValueError):
-    """A lower bound exceeds the corresponding upper bound."""
+    """A lower bound exceeds the corresponding upper bound, or one of the
+    two is NaN."""
 
 
 # Maps used by ProblemSpec.  All take/return 1-D float arrays.
@@ -92,7 +93,7 @@ def eval_objective(prob: ProblemSpec, x: np.ndarray) -> float:
 def check_feasible(prob: ProblemSpec, x: np.ndarray, tol: float) -> bool:
     """True iff ||h(x)||_inf <= tol, max g_i(x) <= tol and x in dom f2;
     a NaN residual fails the test."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be non-negative")
     x = prob.check_x(x)
     if not np.isfinite(prob.f2_value(x)):
@@ -112,8 +113,8 @@ def box_problem_terms(lower: np.ndarray, upper: np.ndarray):
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if np.any(lower > upper):
-        raise CrossedBoundsError("crossed box bounds")
+    if not np.all(lower <= upper):
+        raise CrossedBoundsError("crossed or NaN box bounds")
     slack = 1e-12
     lower_tol, upper_tol = lower - slack, upper + slack
 

@@ -5,7 +5,9 @@ Accepts both fixed-field and free-form files (tokens split on
 whitespace).  Quadratic objectives come from a QUADOBJ section (lower
 triangle, off-diagonals counted once and mirrored) or a QMATRIX section
 (full matrix, taken as given); mixing the two is rejected.  Fortran-style
-exponents (1.0D+01) are accepted in every numeric field.  OBJSENSE MAX,
+exponents (1.0D+01) are accepted in every numeric field, and so is an
+infinite value (inf, 1e400), which as a bound leaves that side
+unbounded; NaN raises MalformedNumericFieldError at its line.  OBJSENSE MAX,
 in the section or the one-line form, negates the objective, so QpData
 always describes a minimization.  A row's sense sets its right-hand
 side b as the lower bound (E, G) and the upper bound (E, L); a RANGES
@@ -14,16 +16,20 @@ with R >= 0, and otherwise the lower bound to b - |R|.  Bounds are
 checked after the whole BOUNDS section, so a column's records may come
 in any order; as in most MPS readers, a negative UP on a column whose
 lower bound no record sets makes that lower bound -inf, with a warning.
+
+Parsing needs numpy alone.  scipy.sparse is imported where the sparse
+matrices are built, in SparseTriplets.to_csr and qp_to_problem, so
+importing pbalm and solving a problem with dense maps never loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import problem
 from .problem import ProblemSpec, box_problem_terms
@@ -70,8 +76,11 @@ class SparseTriplets:
     ncols: int
     entries: List[Tuple[int, int, float]] = field(default_factory=list)
 
-    def to_csr(self) -> sp.csr_matrix:
-        """Finalize; duplicate (row, col) entries are summed."""
+    def to_csr(self):
+        """Finalize as a scipy.sparse CSR matrix; duplicate (row, col)
+        entries are summed."""
+        import scipy.sparse as sp
+
         if self.entries:
             r, c, v = zip(*self.entries)
         else:
@@ -125,11 +134,14 @@ def _obj_sign(token: str, line_no: int) -> float:
 
 def _num(token: str, line_no: int) -> float:
     try:
-        return float(token.replace("D", "E").replace("d", "e"))
+        v = float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
+        v = math.nan
+    if math.isnan(v):  # NaN would read as "no bound" downstream
         raise MalformedNumericFieldError(
             f"malformed numeric field {token!r}", line_no
-        ) from None
+        )
+    return v
 
 
 def _pairs(tokens: List[str], section: str,
@@ -378,6 +390,8 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     ``eq_as_h`` they become true equality constraints instead, so the
     equality penalty applies to them.
     """
+    import scipy.sparse as sp
+
     n = qp.n
     Q_low = qp.Q.to_csr()
     Q_full = Q_low + Q_low.T - sp.diags(Q_low.diagonal())

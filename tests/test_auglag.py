@@ -234,3 +234,8 @@ class TestKktReport:
         with pytest.raises(ValueError):
             kkt_report(0.0, np.zeros(0), np.zeros(0), np.zeros(0),
                        epsilon=-1.0)
+
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            kkt_report(0.0, np.zeros(0), np.zeros(0), np.zeros(0),
+                       epsilon=np.nan)

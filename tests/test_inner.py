@@ -434,20 +434,33 @@ class TestLbfgsMemory:
             assert mem.direction(r).tobytes() == before.tobytes()
 
 
-def test_solve_imports_no_scipy_linalg():
-    """The L-BFGS memory solves its triangular systems with numpy alone.
-    Importing scipy.linalg adds about 8 MiB of peak RSS to this run
-    (51 to 59 MiB on x86-64 Linux)."""
+def test_dense_solves_import_no_scipy():
+    """Importing pbalm, solving with dense maps and parsing a QPS text load
+    numpy alone; scipy.sparse enters only when qp_to_problem assembles
+    the parsed problem.  On x86-64 Linux the dense part of this script
+    peaks at about 35 MiB of resident memory; importing scipy.sparse with
+    pbalm takes it to 51 MiB, and scipy.linalg would add about 8 MiB."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    qps = os.path.join(src, "pbalm", "fixtures", "tiny_eq.qps")
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {os.path.abspath(src)!r})",
-        "from pbalm import OuterConfig, run",
-        "from pbalm.problem_gen import gen_basis_pursuit",
+        "import numpy as np",
+        "from pbalm import (OuterConfig, gen_basis_pursuit, make_random_eq_qp,",
+        "                   parse_qps_file, qp_problem, qp_to_problem, run)",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m == 'scipy' or m.startswith('scipy.'))",
         "_, prob, x0 = gen_basis_pursuit(20, 50, 5, seed=0)",
         "print(run(prob, x0, OuterConfig()).status.value)",
-        "print('scipy.linalg' in sys.modules)",
+        "eq = make_random_eq_qp(8, 3, seed=0)",
+        "x0 = eq.feasible_point(np.random.default_rng(0))",
+        "print(run(qp_problem(eq), x0, OuterConfig()).status.value)",
+        f"qp = parse_qps_file({os.path.abspath(qps)!r})",
+        "print(scipy_modules() == [])",
+        "qp_to_problem(qp)",
+        "print('scipy.sparse' in scipy_modules())",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["eps_kkt", "False"]
+    assert out.stdout.split() == ["eps_kkt", "eps_kkt", "True", "True"]

@@ -74,6 +74,10 @@ class TestCheckFeasible:
         with pytest.raises(ValueError):
             check_feasible(quadratic_problem(), np.zeros(2), tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            check_feasible(quadratic_problem(), np.zeros(2), tol=np.nan)
+
 
 def prox_box(x, lower, upper):
     """The box prox that box_problem_terms returns, applied once."""
@@ -127,6 +131,15 @@ class TestBoxProblemTerms:
     def test_crossed_bounds(self):
         with pytest.raises(CrossedBoundsError):
             box_problem_terms(np.ones(1), np.zeros(1))
+
+    @pytest.mark.parametrize("lower,upper", [
+        ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]),
+        ([np.nan, 0.0], [np.nan, 1.0])],
+        ids=["lower-nan", "upper-nan", "both-nan"])
+    def test_nan_bounds_rejected(self, lower, upper):
+        # A NaN bound would make the prox return NaN and the value inf.
+        with pytest.raises(CrossedBoundsError, match="NaN"):
+            box_problem_terms(np.array(lower), np.array(upper))
 
 
 class TestGradients:

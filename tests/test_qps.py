@@ -331,6 +331,37 @@ class TestBounds:
         np.testing.assert_array_equal(qp.var_upper, [-1.0])
 
 
+def _numeric_qps(col="1.0", rhs="4.0", rng="1.0", bnd="2.0"):
+    """One L row over one column, with one numeric field in each of
+    COLUMNS (line 6), RHS (line 8), RANGES (line 10) and BOUNDS (line 12)."""
+    return ("NAME T\nROWS\n N  OBJ\n L  R1\n"
+            f"COLUMNS\n    X1        OBJ       1.0       R1        {col}\n"
+            f"RHS\n    RHS       R1        {rhs}\n"
+            f"RANGES\n    RNG       R1        {rng}\n"
+            f"BOUNDS\n UP BND       X1        {bnd}\n"
+            "ENDATA\n")
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("field,line", [("col", 6), ("rhs", 8),
+                                            ("rng", 10), ("bnd", 12)])
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan"])
+    def test_nan_rejected_at_its_line(self, field, line, token):
+        # A NaN bound would otherwise read as "no bound" and drop the row.
+        with pytest.raises(MalformedNumericFieldError) as info:
+            parse_qps(_numeric_qps(**{field: token}))
+        assert info.value.line_no == line
+
+    @pytest.mark.parametrize("token", ["inf", "1e400", "1D+400"])
+    def test_infinite_bound_is_unbounded(self, token):
+        # An infinite range frees the L row's lower side.
+        qp = parse_qps(_numeric_qps(rng=token, bnd=token))
+        np.testing.assert_array_equal(qp.row_lower, [-INF])
+        np.testing.assert_array_equal(qp.row_upper, [4.0])
+        np.testing.assert_array_equal(qp.var_upper, [INF])
+        assert qp_to_problem(qp).m == 1
+
+
 class TestAssembly:
     def test_g_equals_two_product_form_bitwise(self):
         """g is one stacked product; it must equal [A_up x - u; l - A_lo x]
