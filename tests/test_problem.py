@@ -128,6 +128,18 @@ class TestBoxProblemTerms:
         f2, _ = box_problem_terms(np.zeros(1), np.ones(1))
         assert f2(np.array([1.5])) == np.inf
 
+    @pytest.mark.parametrize("x,value", [
+        ([0.5, np.nan], np.inf), ([np.nan, np.nan], np.inf),
+        ([0.5, 1.0 + 2e-12], np.inf), ([-2e-12, 0.5], np.inf),
+        ([0.5, 1.0 + 5e-13], 0.0), ([-5e-13, 0.5], 0.0)],
+        ids=["one-nan", "all-nan", "above-slack", "below-slack",
+             "within-upper-slack", "within-lower-slack"])
+    def test_value_slack_and_nan(self, x, value):
+        # Every entry must pass both tests, so NaN is outside the box;
+        # the 1e-12 slack admits round-off but nothing beyond it.
+        f2, _ = box_problem_terms(np.zeros(2), np.ones(2))
+        assert f2(np.array(x)) == value
+
     def test_crossed_bounds(self):
         with pytest.raises(CrossedBoundsError):
             box_problem_terms(np.ones(1), np.zeros(1))

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from pbalm.qps import (
     CrossedBoundsError,
     DuplicateFixedBoundConflictError,
+    InfeasibleRowError,
     MalformedNumericFieldError,
     MissingSectionError,
     MixedQuadSectionsError,
@@ -331,10 +332,10 @@ class TestBounds:
         np.testing.assert_array_equal(qp.var_upper, [-1.0])
 
 
-def _numeric_qps(col="1.0", rhs="4.0", rng="1.0", bnd="2.0"):
-    """One L row over one column, with one numeric field in each of
-    COLUMNS (line 6), RHS (line 8), RANGES (line 10) and BOUNDS (line 12)."""
-    return ("NAME T\nROWS\n N  OBJ\n L  R1\n"
+def _numeric_qps(col="1.0", rhs="4.0", rng="1.0", bnd="2.0", sense="L"):
+    """One row over one column, with one numeric field in each of COLUMNS
+    (line 6), RHS (line 8), RANGES (line 10) and BOUNDS (line 12)."""
+    return (f"NAME T\nROWS\n N  OBJ\n {sense}  R1\n"
             f"COLUMNS\n    X1        OBJ       1.0       R1        {col}\n"
             f"RHS\n    RHS       R1        {rhs}\n"
             f"RANGES\n    RNG       R1        {rng}\n"
@@ -362,36 +363,116 @@ class TestNumericFields:
         assert qp_to_problem(qp).m == 1
 
 
-class TestAssembly:
-    def test_g_equals_two_product_form_bitwise(self):
-        """g is one stacked product; it must equal [A_up x - u; l - A_lo x]
-        bit for bit."""
-        rng = np.random.default_rng(0)
-        n, rows = 30, 24
-        A = sp.random(rows, n, density=0.3, random_state=1, format="coo")
-        lower = rng.standard_normal(rows)
-        upper = lower + rng.uniform(0.0, 2.0, rows)
+class TestInfeasibleRows:
+    @pytest.mark.parametrize("sense,rhs,rng,line", [
+        ("G", "inf", "1.0", 8), ("E", "inf", "1.0", 8),
+        ("L", "-inf", "1.0", 8), ("L", "inf", "inf", 10),
+        ("G", "-inf", "inf", 10)],
+        ids=["G-rhs-inf", "E-rhs-inf", "L-rhs-minus-inf", "L-nan-lower",
+             "G-nan-upper"])
+    def test_rejected_at_its_line(self, sense, rhs, rng, line):
+        # Dropped as an unbounded row, it would make an infeasible
+        # problem feasible; inf - inf would leave a NaN bound.
+        with pytest.raises(InfeasibleRowError) as info:
+            parse_qps(_numeric_qps(rhs=rhs, rng=rng, sense=sense))
+        assert info.value.line_no == line
+
+    @pytest.mark.parametrize("sense,rhs", [("G", "-inf"), ("L", "inf")])
+    def test_vacuous_row_assembles_to_no_row(self, sense, rhs):
+        qp = parse_qps(f"NAME T\nROWS\n N  OBJ\n {sense}  R1\n"
+                       "COLUMNS\n    X1        OBJ       1.0       R1   1.0\n"
+                       f"RHS\n    RHS       R1        {rhs}\nENDATA\n")
+        prob = qp_to_problem(qp)
+        assert (prob.m, prob.p) == (0, 0)
+
+
+def _random_qp(n, lower, upper, seed=0):
+    """A QpData with a random symmetric Q (lower triangle), q, c and A."""
+    rng = np.random.default_rng(seed)
+    rows = len(lower)
+    Q = sp.tril(sp.random(n, n, density=0.2, random_state=seed), format="coo")
+    A = sp.random(rows, n, density=0.3, random_state=seed + 1, format="coo")
+    return QpData(
+        name="random", n=n, m_rows=rows,
+        Q=SparseTriplets(n, n, list(zip(Q.row, Q.col, Q.data))),
+        q=rng.standard_normal(n), c=rng.standard_normal(),
+        A=SparseTriplets(rows, n, list(zip(A.row, A.col, A.data))),
+        row_lower=np.asarray(lower, float), row_upper=np.asarray(upper, float),
+        var_lower=np.full(n, -INF), var_upper=np.full(n, INF),
+    )
+
+
+def _row_bounds(case, rows=24, seed=0):
+    rng = np.random.default_rng(seed)
+    if case == "no-rows":
+        return np.zeros(0), np.zeros(0)
+    lower = rng.standard_normal(rows)
+    upper = lower + rng.uniform(0.1, 2.0, rows)
+    if case == "no-lower":
+        lower[:] = -INF
+        return lower, upper
+    if case == "mixed":
         upper[:6] = lower[:6]      # equality rows
-        lower[6:12] = -INF         # upper only
-        upper[12:18] = INF         # lower only
-        qp = QpData(
-            name="random", n=n, m_rows=rows,
-            Q=SparseTriplets(n, n), q=np.zeros(n), c=0.0,
-            A=SparseTriplets(rows, n, list(zip(A.row, A.col, A.data))),
-            row_lower=lower, row_upper=upper,
-            var_lower=np.full(n, -INF), var_upper=np.full(n, INF),
-        )
-        A = A.tocsr()
-        for eq_as_h in (False, True):
-            prob = qp_to_problem(qp, eq_as_h=eq_as_h)
-            kept = ~(lower == upper) if eq_as_h else np.ones(rows, bool)
-            up = np.flatnonzero(np.isfinite(upper) & kept)
-            lo = np.flatnonzero(np.isfinite(lower) & kept)
-            A_up, u, A_lo, l = A[up], upper[up], A[lo], lower[lo]
-            for _ in range(200):
-                x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
-                ref = np.concatenate([A_up @ x - u, l - A_lo @ x])
-                assert np.array_equal(prob.g(x), ref)
+    lower[6:12] = -INF             # upper only
+    upper[12:18] = INF             # lower only
+    return lower, upper
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("eq_as_h", [False, True])
+    @pytest.mark.parametrize("case", ["mixed", "no-eq", "no-lower", "no-rows"])
+    def test_every_map_equals_its_product_form_bitwise(self, case, eq_as_h):
+        """The maps call scipy's compiled CSR/CSC kernels directly (from
+        the private scipy.sparse._sparsetools, which this test pins); each
+        must equal its form with scipy's ``@`` bit for bit.  g, one stacked
+        product, must equal the two-product form [A_up x - u; l - A_lo x]."""
+        n = 30
+        lower, upper = _row_bounds(case)
+        qp = _random_qp(n, lower, upper)
+        prob = qp_to_problem(qp, eq_as_h=eq_as_h)
+        Q_low = qp.Q.to_csr()
+        Q = Q_low + Q_low.T - sp.diags(Q_low.diagonal())
+        A = qp.A.to_csr()
+        eq = (lower == upper) & eq_as_h
+        up = np.flatnonzero(np.isfinite(upper) & ~eq)
+        lo = np.flatnonzero(np.isfinite(lower) & ~eq)
+        eq = np.flatnonzero(eq)
+        assert (prob.p, prob.m) == (len(eq), len(up) + len(lo))
+        A_eq, A_up, A_lo = A[eq], A[up], A[lo]
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            y = rng.standard_normal(prob.p)
+            z = rng.standard_normal(prob.m)
+            assert prob.f1(x) == (0.5 * float(x @ (Q @ x)) + float(qp.q @ x)
+                                  + qp.c)
+            assert np.array_equal(prob.grad_f1(x), Q @ x + qp.q)
+            assert np.array_equal(prob.h(x), A_eq @ x - lower[eq])
+            assert np.array_equal(prob.jac_h_transpose_apply(x, y),
+                                  A_eq.T @ y)
+            assert np.array_equal(
+                prob.g(x),
+                np.concatenate([A_up @ x - upper[up], lower[lo] - A_lo @ x]))
+            assert np.array_equal(
+                prob.jac_g_transpose_apply(x, z),
+                A_up.T @ z[:len(up)] - A_lo.T @ z[len(up):])
+
+    @pytest.mark.parametrize("case", ["mixed", "no-eq", "no-lower", "no-rows"])
+    def test_wrong_length_raises(self, case):
+        # The compiled kernel does not check lengths; each map must.
+        n = 30
+        lower, upper = _row_bounds(case)
+        prob = qp_to_problem(_random_qp(n, lower, upper), eq_as_h=True)
+        x = np.ones(n)
+        for bad in (np.ones(n - 1), np.ones(n + 1)):
+            for f in (prob.f1, prob.grad_f1, prob.h, prob.g):
+                with pytest.raises(ValueError):
+                    f(bad)
+        for jac, k in ((prob.jac_h_transpose_apply, prob.p),
+                       (prob.jac_g_transpose_apply, prob.m)):
+            for length in [k + 1] + [k - 1] * (k > 0):
+                with pytest.raises(ValueError):
+                    jac(x, np.ones(length))
 
 
 # max x1 over [0, 1] in the two OBJSENSE forms; the optimum is x1 = 1.
