@@ -11,12 +11,13 @@ a failing last subproblem included.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from importlib import resources
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .inner import InnerConfig
 from .outer import (
     FEAS_TOL,
     GrowthFn,
-    InfeasibleStartError,
     IterationRecord,
     OuterConfig,
     SolveStatus,
@@ -35,16 +35,18 @@ from .outer import (
 )
 from .phase1 import Phase1Failed, find_feasible
 from .problem_gen import gen_basis_pursuit
-from .qps import QpsParseError, parse_qps_file, qp_to_problem
+from .qps import parse_qps_file, qp_to_problem
 
-FIXTURES = {
-    "tiny_eq": "tiny_eq.qps",
-    "tiny_box": "tiny_box.qps",
-}
+# Bundled QPS fixtures, each in pbalm/fixtures/<name>.qps.
+FIXTURES = ("tiny_box", "tiny_eq")
+
+# The OuterConfig fields the CLI passes through: each is a flag (--stop-tol
+# for stop_tol) with OuterConfig's default, and goes into the JSON config.
+SETTINGS = ("beta", "rho0", "nu0", "gamma0", "stop_tol", "max_outer")
 
 
 def fixture_path(name: str) -> str:
-    return str(resources.files("pbalm.fixtures").joinpath(FIXTURES[name]))
+    return str(resources.files("pbalm.fixtures").joinpath(f"{name}.qps"))
 
 
 def _fmt(value) -> str:
@@ -63,9 +65,7 @@ def trace_to_csv(trace: List[IterationRecord]) -> str:
 
 
 def trace_to_json(trace: List[IterationRecord], config: dict, summary: dict) -> str:
-    rows = [
-        {col: getattr(rec, col) for col in TRACE_COLUMNS} for rec in trace
-    ]
+    rows = [dataclasses.asdict(rec) for rec in trace]
     return json.dumps({"config": config, "rows": rows, "summary": summary},
                       indent=2, default=float) + "\n"
 
@@ -81,6 +81,16 @@ def variant_list(text: str) -> List[str]:
     return names
 
 
+def basis_pursuit_dims(text: str) -> Tuple[str, Tuple[int, int, int]]:
+    """--basis-pursuit: 'p=..,n=..,k=..', returned as (text, (p, n, k))."""
+    try:
+        dims = {key.strip(): int(val)
+                for key, val in (part.split("=") for part in text.split(","))}
+        return text, (dims["p"], dims["n"], dims["k"])
+    except (ValueError, KeyError):
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     outer, inner = OuterConfig(), InnerConfig()
     p = argparse.ArgumentParser(
@@ -91,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--qps", metavar="PATH", help="QPS/MPS problem file")
     src.add_argument("--basis-pursuit", metavar="p=..,n=..,k=..",
+                     type=basis_pursuit_dims,
                      help="synthetic sparse-recovery instance, e.g. p=200,n=512,k=10")
-    src.add_argument("--fixture", choices=sorted(FIXTURES),
+    src.add_argument("--fixture", choices=FIXTURES,
                      help="bundled QPS fixture")
 
     p.add_argument("--variant", type=variant_list, default="pbalm",
@@ -104,12 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="proximal stepsize constant; defaults to 1 for QP "
                         "sources and 1e-6 for basis pursuit")
-    p.add_argument("--beta", type=float, default=outer.beta)
-    p.add_argument("--rho0", type=float, default=outer.rho0)
-    p.add_argument("--nu0", type=float, default=outer.nu0)
-    p.add_argument("--gamma0", type=float, default=outer.gamma0)
-    p.add_argument("--stop-tol", type=float, default=outer.stop_tol)
-    p.add_argument("--max-outer", type=int, default=outer.max_outer)
+    for name in SETTINGS:
+        default = getattr(outer, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=default)
     p.add_argument("--inner-memory", type=int, default=inner.memory)
     p.add_argument("--max-inner", type=int, default=inner.max_iters)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -126,33 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_bp_dims(spec: str, parser: argparse.ArgumentParser):
-    dims = {}
-    try:
-        for part in spec.split(","):
-            key, val = part.split("=")
-            dims[key.strip()] = int(val)
-        return dims["p"], dims["n"], dims["k"]
-    except (ValueError, KeyError):
-        parser.error(f"cannot parse --basis-pursuit argument {spec!r}")
-
-
 def _make_config(args, variant: Variant, delta: float, seed: int) -> OuterConfig:
     # OuterConfig checks every setting, sets the baseline's phi to 0 and
     # checks its xi > 1; xi applies to the baseline alone.
     xi = dict(xi1=args.xi, xi2=args.xi) if variant is Variant.ALM else {}
     return OuterConfig(
         variant=variant,
-        beta=args.beta,
         delta=delta,
-        rho0=args.rho0,
-        nu0=args.nu0,
-        gamma0=args.gamma0,
-        stop_tol=args.stop_tol,
-        max_outer=args.max_outer,
         inner=InnerConfig(memory=args.inner_memory, max_iters=args.max_inner),
         phi=GrowthFn.power(args.alpha),
         seed=seed,
+        **{name: getattr(args, name) for name in SETTINGS},
         **xi,
     )
 
@@ -193,8 +186,8 @@ def _solve_one(prob, x0, cfg, args, variant_name: str):
 
 def _build_problem(args, seed: int):
     if args.basis_pursuit:
-        p_dim, n_dim, k = _parse_bp_dims(args.basis_pursuit, build_parser())
-        _, prob, x_feasible = gen_basis_pursuit(p_dim, n_dim, k, seed)
+        _, dims = args.basis_pursuit
+        _, prob, x_feasible = gen_basis_pursuit(*dims, seed)
         return prob, x_feasible
     path = args.qps if args.qps else fixture_path(args.fixture)
     qp = parse_qps_file(path)
@@ -221,8 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.phase1:
                 start = find_feasible(prob, x0, tol=FEAS_TOL, cfg=cfg)
             outputs.append(_solve_one(prob, start, cfg, args, v))
-    except (OSError, QpsParseError, InfeasibleStartError, Phase1Failed,
-            ValueError) as exc:
+    except (OSError, Phase1Failed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -237,14 +229,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "alpha": args.alpha,
                 "xi": args.xi,
                 "delta": delta,
-                "beta": args.beta,
-                "rho0": args.rho0,
-                "nu0": args.nu0,
-                "gamma0": args.gamma0,
-                "stop_tol": args.stop_tol,
-                "max_outer": args.max_outer,
+                **{name: getattr(args, name) for name in SETTINGS},
                 "seed": args.seed,
-                "source": args.qps or args.basis_pursuit or args.fixture,
+                "source": (args.qps or args.fixture
+                           or args.basis_pursuit[0]),
             }
             try:
                 with open(out_path, "w", newline="") as fh:

@@ -165,7 +165,6 @@ class DiagnosticRecord:
     """Per-iteration invariant material (not part of the CSV trace); the
     record at index i belongs to the trace row at index i."""
 
-    dual_identity_rel_err: float
     grad_identity_rel_err: float
     completed_square_rel_err: float
     mult_weighted_sq: float       # sum lam^2/(2 rho) + mu^2/(2 nu), post-update weights
@@ -255,10 +254,6 @@ def _init_multipliers(prob: ProblemSpec, cfg: OuterConfig) -> Multipliers:
     return Multipliers(lam, mu)
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-30)
-
-
 def _weighted_sq(mult: Multipliers, pen: PenaltyState) -> float:
     """sum lam^2/(2 rho) + sum mu^2/(2 nu)."""
     return (float(np.sum(mult.lam**2 / (2.0 * pen.rho)))
@@ -267,21 +262,12 @@ def _weighted_sq(mult: Multipliers, pen: PenaltyState) -> float:
 
 def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
              mult: Multipliers, mult_new: Multipliers, pen: PenaltyState,
-             pen_new: PenaltyState, h: np.ndarray, g: np.ndarray,
-             E: np.ndarray, value: float, grad: np.ndarray, proximal: bool):
+             pen_new: PenaltyState, g: np.ndarray, E: np.ndarray,
+             value: float, grad: np.ndarray, proximal: bool):
     """(stationarity, DiagnosticRecord) of the iteration that went from
     x_hat to x under ``mult``/``pen`` and updated them to ``mult_new``/
-    ``pen_new``: h, g, E and the subproblem's ``value`` and ``grad`` are
+    ``pen_new``: g, E and the subproblem's ``value`` and ``grad`` are
     taken at x."""
-    # Exact identity: the scaled dual step equals the primal residuals.
-    # The steps are recomputed from the same quantities the updates used
-    # (rho * h and max{g, -mu/nu}) so cancellation in lam' - lam cannot
-    # pollute the check.
-    dual_lhs = (float(np.sum(((pen.rho * h) / pen.rho) ** 2))
-                + float(np.sum(np.maximum(g, -(mult.mu / pen.nu)) ** 2)))
-    dual_rhs = float(h @ h) + float(E @ E)
-    dual_err = _rel_err(dual_lhs, dual_rhs) if max(dual_lhs, dual_rhs) > 0 else 0.0
-
     # Exact identity: the Lagrangian gradient at the updated multipliers
     # equals the subproblem gradient minus the proximal correction.
     grad_L = grad_lagrangian(prob, x, mult_new)
@@ -290,8 +276,9 @@ def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
 
     # Centered at x, the proximal term of the completed square is exactly
     # 0, which matches the non-proximal subproblem value.
-    cs_err = _rel_err(value, eval_pal_completed_square(
-        prob, x, mult, pen, x_hat if proximal else x))
+    cs = eval_pal_completed_square(prob, x, mult, pen,
+                                   x_hat if proximal else x)
+    cs_err = abs(value - cs) / max(abs(value), abs(cs), 1e-30)
 
     # Lemma (a): ||[g]_+|| <= ||E||, and mu' = 0 where g < -||E||.
     E_inf = inf_norm(E)
@@ -300,7 +287,6 @@ def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
 
     d = x - x_hat
     return natural_residual(prob.prox_f2, x, grad_L), DiagnosticRecord(
-        dual_identity_rel_err=dual_err,
         grad_identity_rel_err=grad_err,
         completed_square_rel_err=cs_err,
         mult_weighted_sq=_weighted_sq(mult_new, pen_new),
@@ -419,7 +405,7 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
         f2_new = prob.f2_value(res.x)
         stationarity, diag = diagnose(prob, res.x, x_hat, mult, mult_new, pen,
-                                      pen_new, h, g, E, res.value, res.grad,
+                                      pen_new, g, E, res.value, res.grad,
                                       proximal)
         diagnostics.append(diag)
         # The classical baseline has no augmented-Lagrangian bound.

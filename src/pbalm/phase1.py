@@ -19,8 +19,7 @@ class Phase1Failed(RuntimeError):
 
 @dataclass
 class Phase1Spec:
-    lifted: ProblemSpec
-    slack_index: int  # position of s in the lifted variable
+    lifted: ProblemSpec  # variable (x, s), the slack s last
 
 
 def build_phase1(base: ProblemSpec) -> Phase1Spec:
@@ -71,7 +70,7 @@ def build_phase1(base: ProblemSpec) -> Phase1Spec:
         f2_value=f2_value, prox_f2=prox_f2,
         name=f"{base.name}-phase1",
     )
-    return Phase1Spec(lifted=lifted, slack_index=n)
+    return Phase1Spec(lifted=lifted)
 
 
 def find_feasible(base: ProblemSpec, x_start: np.ndarray, tol: float,

@@ -7,7 +7,9 @@ triangle, off-diagonals counted once and mirrored) or a QMATRIX section
 (full matrix, taken as given); mixing the two is rejected.  Fortran-style
 exponents (1.0D+01) are accepted in every numeric field, and so is an
 infinite value (inf, 1e400), which as a bound leaves that side
-unbounded; NaN raises MalformedNumericFieldError at its line.  OBJSENSE MAX,
+unbounded; NaN raises MalformedNumericFieldError at its line, and so
+does an infinite RHS on the objective row, whose negation would be the
+objective constant and make f1 infinite everywhere.  OBJSENSE MAX,
 in the section or the one-line form, negates the objective, so QpData
 always describes a minimization.  A row's sense sets its right-hand
 side b as the lower bound (E, G) and the upper bound (E, L); a RANGES
@@ -253,6 +255,10 @@ def parse_qps(text: str) -> QpData:
                 if rname not in row_sense:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
+                    )
+                if section == "RHS" and rname == obj_row and math.isinf(v):
+                    raise MalformedNumericFieldError(
+                        f"infinite objective constant {-v}", line_no
                     )
                 given[section][rname] = (v, line_no)
 

@@ -7,7 +7,7 @@ import pytest
 
 from pbalm import cli
 from pbalm.cli import build_parser, fixture_path, main, trace_to_csv
-from pbalm.outer import TRACE_COLUMNS, IterationRecord
+from pbalm.outer import TRACE_COLUMNS, IterationRecord, OuterConfig, Variant
 from conftest import neg_exp_problem
 
 
@@ -47,9 +47,51 @@ class TestParser:
         assert exc.value.code == 2
         assert "--variant" in capsys.readouterr().err
 
-    def test_bad_bp_spec_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--basis-pursuit", "p=1,n=2", "--variant", "pbalm"])
+    def test_bad_bp_spec_rejected(self, capsys):
+        for spec in ("p=1,n=2", "p=1,n=2,k=x", "p=1;n=2;k=3", "p=1,n=2,k=3,"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--basis-pursuit", spec, "--variant", "pbalm"])
+            assert exc.value.code == 2, spec
+            assert "--basis-pursuit" in capsys.readouterr().err, spec
+
+
+# Each SETTINGS flag with a value unlike OuterConfig's default.
+_SETTING_VALUES = dict(beta="0.25", rho0="0.5", nu0="2", gamma0="3",
+                       stop_tol="1e-6", max_outer="7")
+
+
+class TestSettings:
+    def test_table_covers_the_flags(self):
+        assert set(cli.SETTINGS) == set(_SETTING_VALUES)
+
+    def test_flags_default_to_outer_config(self):
+        args = build_parser().parse_args(["--fixture", "tiny_eq"])
+        defaults = OuterConfig()
+        for name in cli.SETTINGS:
+            value = getattr(args, name)
+            assert value == getattr(defaults, name), name
+            assert type(value) is type(getattr(defaults, name)), name
+
+    def test_flags_reach_the_config(self):
+        argv = ["--fixture", "tiny_eq"]
+        for name, value in _SETTING_VALUES.items():
+            argv += ["--" + name.replace("_", "-"), value]
+        cfg = cli._make_config(build_parser().parse_args(argv), Variant.PBALM,
+                               1.0, 0)
+        assert (cfg.beta, cfg.rho0, cfg.nu0, cfg.gamma0, cfg.stop_tol,
+                cfg.max_outer) == (0.25, 0.5, 2.0, 3.0, 1e-6, 7)
+
+    def test_json_config_lists_them_and_the_source_as_given(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(["--basis-pursuit", "p=20, n=50,k=5", "--beta", "0.25",
+                     "--max-outer", "7", "--out", str(out),
+                     "--format", "json"]) == 2
+        config = json.loads(out.read_text())["config"]
+        assert list(config) == ["variant", "alpha", "xi", "delta",
+                                *cli.SETTINGS, "seed", "source"]
+        assert (config["beta"], config["max_outer"]) == (0.25, 7)
+        assert config["rho0"] == OuterConfig().rho0
+        assert config["source"] == "p=20, n=50,k=5"
 
 
 class TestRuns:
@@ -191,7 +233,8 @@ class TestRuns:
 
 
 def test_fixture_paths_exist():
-    for name in ("tiny_eq", "tiny_box"):
+    assert sorted(cli.FIXTURES) == ["tiny_box", "tiny_eq"]
+    for name in cli.FIXTURES:
         assert os.path.exists(fixture_path(name))
 
 

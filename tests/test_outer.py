@@ -5,8 +5,10 @@ import pytest
 
 from pbalm import outer
 from pbalm.auglag import Multipliers, PenaltyState
+from pbalm.cli import fixture_path
 from pbalm.inner import InnerConfig
 from pbalm.outer import (
+    FEAS_TOL,
     GrowthFn,
     InfeasibleStartError,
     OuterConfig,
@@ -18,8 +20,10 @@ from pbalm.outer import (
     update_multipliers,
     update_penalty,
 )
+from pbalm.phase1 import find_feasible
 from pbalm.problem import ProblemSpec, check_feasible, eval_objective
 from pbalm.problem_gen import gen_basis_pursuit, make_random_eq_qp, qp_problem
+from pbalm.qps import parse_qps_file, qp_to_problem
 from conftest import (box_qp_1d, ineq_problem, neg_exp_problem,
                       quadratic_problem, simplex_qp)
 
@@ -163,6 +167,58 @@ class TestMultiplierUpdates:
                                  _pen(nu=weight), np.ones(1), np.zeros(0))
         assert out.mu.shape == (0,) and out.mu.dtype == np.float64
         np.testing.assert_array_equal(out.lam, [2.0])
+
+
+def _step(lam, mu):
+    """An update_multipliers taking lam(lam, rho h) and mu(mu, nu g)."""
+    return lambda m, pen, h, g: Multipliers(lam(m.lam, pen.rho * h),
+                                            mu(m.mu, pen.nu * g))
+
+
+def _lam_ok(lam, d):
+    return lam + d
+
+
+def _mu_ok(mu, d):
+    return np.maximum(0.0, mu + d)
+
+
+def _step_problem(name):
+    """(prob, x0, cfg): an equality QP, or tiny_box from its phase-I point."""
+    cfg = OuterConfig(max_outer=30)
+    if name == "eq":
+        qp = make_random_eq_qp(8, 3, seed=0)
+        return qp_problem(qp), qp.feasible_point(np.random.default_rng(0)), cfg
+    prob = qp_to_problem(parse_qps_file(fixture_path("tiny_box")))
+    x0 = prob.prox_f2(np.zeros(prob.n), 1.0)
+    return prob, find_feasible(prob, x0, FEAS_TOL, cfg), cfg
+
+
+class TestMultiplierStepCheck:
+    """The gradient identity in ``diagnose`` checks the multiplier step:
+    grad L at the new multipliers must equal the subproblem gradient."""
+
+    @pytest.mark.parametrize("problem", ["eq", "box"])
+    def test_correct_step_holds_it(self, problem, monkeypatch):
+        prob, x0, cfg = _step_problem(problem)
+        monkeypatch.setattr(outer, "update_multipliers", _step(_lam_ok, _mu_ok))
+        res = run(prob, x0, cfg)
+        assert res.status is SolveStatus.EPS_KKT
+        assert max(d.grad_identity_rel_err for d in res.diagnostics) <= 1e-10
+
+    @pytest.mark.parametrize("problem, lam, mu", [
+        ("eq", lambda lam, d: lam - d, _mu_ok),
+        ("eq", lambda lam, d: lam + 2.0 * d, _mu_ok),
+        ("box", _lam_ok, lambda mu, d: np.maximum(0.0, mu - d)),
+        ("box", _lam_ok, lambda mu, d: np.maximum(0.0, mu + 2.0 * d)),
+        ("box", _lam_ok, lambda mu, d: mu + d)],
+        ids=["lam-sign-flipped", "lam-doubled", "mu-minus-nu-g",
+             "mu-plus-2-nu-g", "mu-unclamped"])
+    def test_wrong_step_fails_it(self, problem, lam, mu, monkeypatch):
+        prob, x0, cfg = _step_problem(problem)
+        monkeypatch.setattr(outer, "update_multipliers", _step(lam, mu))
+        res = run(prob, x0, cfg)
+        assert max(d.grad_identity_rel_err for d in res.diagnostics) > 1e-3
 
 
 def grow_rho(rho, new_inf, old_inf, cfg, k):

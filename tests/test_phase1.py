@@ -34,7 +34,6 @@ class TestBuildPhase1:
         assert spec.lifted.f1(z) == pytest.approx(6.0)
         assert spec.lifted.n == 2
         assert spec.lifted.p == 0
-        assert spec.slack_index == 1
 
     def test_lifted_inequality_is_g_minus_s(self):
         base = ineq_problem()

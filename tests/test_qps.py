@@ -363,6 +363,18 @@ class TestNumericFields:
         assert qp_to_problem(qp).m == 1
 
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e400"])
+    def test_infinite_objective_constant_rejected_at_its_line(self, token):
+        # Read as the constant -token, it would make f1 infinite everywhere.
+        text = ("NAME T\nROWS\n N  OBJ\n L  R1\n"
+                "COLUMNS\n    X1        OBJ       1.0       R1        1.0\n"
+                f"RHS\n    RHS       R1        4.0       OBJ       {token}\n"
+                "ENDATA\n")
+        with pytest.raises(MalformedNumericFieldError) as info:
+            parse_qps(text)
+        assert info.value.line_no == 8
+
+
 class TestInfeasibleRows:
     @pytest.mark.parametrize("sense,rhs,rng,line", [
         ("G", "inf", "1.0", 8), ("E", "inf", "1.0", 8),
