@@ -4,7 +4,9 @@ All functions here are stateless over immutable inputs.  Their callers
 guarantee the inputs: x is a float vector of length n, which ``outer.run``
 checks once on its start point and every iterate keeps, and the penalty
 weights rho and nu and the stepsize gamma are positive scalars, which
-``outer.OuterConfig`` checks when it is built.
+``outer.OuterConfig`` checks when it is built.  Hot products use
+``ndarray.dot``: on small operands ``@`` costs about 0.7 us more per call
+for the same BLAS call and the same bits.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def eval_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     val = prob.f1(x)
     if prob.p:
         h_x = prob.h(x)
-        val += float(mult.lam @ h_x) + float((rho * h_x**2).sum() / 2.0)
+        val += float(mult.lam.dot(h_x)) + float((rho * h_x**2).sum() / 2.0)
     if prob.m:
         val += _ineq_terms(prob.g(x), mult.mu, nu)
     return val
@@ -92,7 +94,7 @@ def eval_pal(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
     """
     val = eval_al(prob, x, mult, pen.rho, pen.nu)
     d = x - v
-    return val + float(d @ d) / (2.0 * pen.gamma)
+    return val + float(d.dot(d)) / (2.0 * pen.gamma)
 
 
 def grad_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
@@ -130,7 +132,7 @@ def eval_pal_completed_square(prob: ProblemSpec, x: np.ndarray, mult: Multiplier
         val += float(np.sum(shifted**2 / (2.0 * nu)))
         val -= float(np.sum(mult.mu**2 / (2.0 * nu)))
     d = x - v
-    return val + float(d @ d) / (2.0 * pen.gamma)
+    return val + float(d.dot(d)) / (2.0 * pen.gamma)
 
 
 def compute_E(g_x: np.ndarray, mu_prev: np.ndarray, nu_prev: float) -> np.ndarray:

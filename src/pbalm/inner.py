@@ -9,7 +9,9 @@ Deterministic: identical inputs produce identical outputs.
 
 The L-BFGS direction is the two-loop recursion in the compact form of
 Byrd, Nocedal and Schnabel (1994); ``_LbfgsMemory`` states its formulas
-and their costs.
+and their costs.  Hot products use ``ndarray.dot``: on small operands
+``@`` costs about 0.7 us more per call for the same BLAS call and the same
+bits.
 """
 
 from __future__ import annotations
@@ -100,9 +102,9 @@ class _LbfgsMemory:
         self.lo = self.hi = 0
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        sy = float(s @ y)
-        yy = float(y @ y)
-        if sy <= 1e-12 * math.sqrt(s @ s) * math.sqrt(yy):  # NaN passes
+        sy = float(s.dot(y))
+        yy = float(y.dot(y))
+        if sy <= 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(yy):  # NaN passes
             return
         lo, hi = self.lo, self.hi
         if hi - lo == self.memory:
@@ -117,19 +119,19 @@ class _LbfgsMemory:
         self.Y[hi] = y
         self.sy[hi] = sy
         Rinv = self.Rinv
-        Rinv[lo:hi, hi] = (Rinv[lo:hi, lo:hi] @ (self.S[lo:hi] @ y)) / -sy
+        Rinv[lo:hi, hi] = Rinv[lo:hi, lo:hi].dot(self.S[lo:hi].dot(y)) / -sy
         Rinv[hi, hi] = 1.0 / sy
         self.lo, self.hi, self.theta = lo, hi + 1, sy / yy
 
     def direction(self, r: np.ndarray) -> np.ndarray:
         lo, hi = self.lo, self.hi
         S, Y, Rinv = self.S[lo:hi], self.Y[lo:hi], self.Rinv[lo:hi, lo:hi]
-        a = Rinv @ (S @ r)
-        q = a @ Y
+        a = Rinv.dot(S.dot(r))
+        q = a.dot(Y)
         np.subtract(r, q, out=q)
         q *= self.theta
-        minus_c = (Y @ q - self.sy[lo:hi] * a) @ Rinv
-        d = minus_c @ S
+        minus_c = (Y.dot(q) - self.sy[lo:hi] * a).dot(Rinv)
+        d = minus_c.dot(S)
         d -= q
         return d
 
@@ -223,9 +225,9 @@ def solve_subproblem(
         # itself, and a looser test lets too long a step through unnoticed.
         slack = _ROUNDING * (1.0 + abs(fx))
         while True:
-            rsq = float(r @ r)
+            rsq = float(r.dot(r))
             fbar = finite(float(smooth_value(xbar)))
-            ub = fx - float(g @ r) + rsq / (2.0 * gamma)
+            ub = fx - float(g.dot(r)) + rsq / (2.0 * gamma)
             if fbar <= ub + slack:
                 break
             if gamma <= gamma_min:
@@ -257,7 +259,7 @@ def solve_subproblem(
                 if math.isfinite(fc):
                     gc = grad(cand)
                     cbar, rc, f2c = forward_backward(cand, gc)
-                    fbe_c = (fc - float(gc @ rc) + float(rc @ rc) / (2.0 * gamma)
+                    fbe_c = (fc - float(gc.dot(rc)) + float(rc.dot(rc)) / (2.0 * gamma)
                              + f2c)
                     if fbe_c <= fbe - sigma * rsq / (2.0 * gamma):
                         accepted = True

@@ -202,7 +202,7 @@ def al_bound(x0: np.ndarray, center: np.ndarray, f_x0: float, gamma: float,
     if not proximal:
         return f_x0
     d = x0 - center
-    return f_x0 + float(d @ d) / (2.0 * gamma)
+    return f_x0 + float(d.dot(d)) / (2.0 * gamma)
 
 
 def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
@@ -242,7 +242,7 @@ def update_penalty(w: float, new_inf: float, old_inf: float, xi: float,
 def update_gamma(x0: np.ndarray, x_new: np.ndarray, cfg: OuterConfig,
                  k: int) -> float:
     d = x0 - x_new
-    return max(cfg.delta * float(d @ d), cfg.gamma0 * cfg.phi(k + 1))
+    return max(cfg.delta * float(d.dot(d)), cfg.gamma0 * cfg.phi(k + 1))
 
 
 def _init_multipliers(prob: ProblemSpec, cfg: OuterConfig) -> Multipliers:
@@ -291,7 +291,7 @@ def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
         completed_square_rel_err=cs_err,
         mult_weighted_sq=_weighted_sq(mult_new, pen_new),
         mult_weighted_sq_prev=_weighted_sq(mult, pen),
-        prox_step_sq=float(d @ d) / (2.0 * pen.gamma) if proximal else 0.0,
+        prox_step_sq=float(d.dot(d)) / (2.0 * pen.gamma) if proximal else 0.0,
         lemma_a_ok=lemma_a_ok,
         mu_nonneg=bool(np.all(mult_new.mu >= 0)),
         rho_increased=pen_new.rho is not pen.rho,

@@ -34,7 +34,7 @@ def build_phase1(base: ProblemSpec) -> Phase1Spec:
         s = z[n]
         if base.p:
             h = h_at(z)
-            return 0.5 * float(h @ h) + s * s
+            return 0.5 * float(h.dot(h)) + s * s
         return s * s
 
     def grad_f1(z):

@@ -42,17 +42,17 @@ def gen_basis_pursuit(p: int, n: int, k: int, seed: int
     inst = BasisPursuitInstance(B=B, b=b, z_star=z_star, seed=seed)
 
     def f1(x):
-        return float(x @ x)
+        return float(x.dot(x))
 
     def grad_f1(x):
         return 2.0 * x
 
     # [B, -B] x^{.2} is applied as B (x1^{.2} - x2^{.2}), never stacked.
     def h(x):
-        return B @ (x[:n] * x[:n] - x[n:] * x[n:]) - b
+        return B.dot(x[:n] * x[:n] - x[n:] * x[n:]) - b
 
     def jac_h_T(x, y):
-        Bty = B.T @ y
+        Bty = B.T.dot(y)
         return 2.0 * x * np.concatenate([Bty, -Bty])
 
     prob = ProblemSpec(
@@ -126,10 +126,10 @@ def qp_problem(qp: RandomEqQp) -> ProblemSpec:
 
     return ProblemSpec(
         n=Q.shape[0], p=A.shape[0], m=0,
-        f1=lambda x: 0.5 * float(x @ (Q @ x)) + float(q @ x),
-        grad_f1=lambda x: Q @ x + q,
-        h=lambda x: A @ x - b,
-        jac_h_transpose_apply=lambda x, y: A.T @ y,
+        f1=lambda x: 0.5 * float(x.dot(Q.dot(x))) + float(q.dot(x)),
+        grad_f1=lambda x: Q.dot(x) + q,
+        h=lambda x: A.dot(x) - b,
+        jac_h_transpose_apply=lambda x, y: A.T.dot(y),
         name=f"random-eq-qp-n{Q.shape[0]}-m{A.shape[0]}-s{qp.seed}",
     )
 

@@ -9,7 +9,9 @@ exponents (1.0D+01) are accepted in every numeric field, and so is an
 infinite value (inf, 1e400), which as a bound leaves that side
 unbounded; NaN raises MalformedNumericFieldError at its line, and so
 does an infinite RHS on the objective row, whose negation would be the
-objective constant and make f1 infinite everywhere.  OBJSENSE MAX,
+objective constant and make f1 infinite everywhere.  An infinite
+coefficient in COLUMNS, QUADOBJ or QMATRIX raises it too, because inf
+times a zero component makes f1, g or h NaN.  OBJSENSE MAX,
 in the section or the one-line form, negates the objective, so QpData
 always describes a minimization.  A row's sense sets its right-hand
 side b as the lower bound (E, G) and the upper bound (E, L); a RANGES
@@ -240,6 +242,10 @@ def parse_qps(text: str) -> QpData:
                 col_index[cname] = len(col_index)
             j = col_index[cname]
             for rname, v in _pairs(tokens, section, line_no):
+                if math.isinf(v):
+                    raise MalformedNumericFieldError(
+                        f"infinite coefficient {v} in row {rname!r}", line_no
+                    )
                 if rname == obj_row:
                     q_lin[j] = q_lin.get(j, 0.0) + v
                 elif rname in row_index:
@@ -286,6 +292,10 @@ def parse_qps(text: str) -> QpData:
                     f"{section} entry needs two columns and a value", line_no
                 )
             v = _num(tokens[2], line_no)
+            if math.isinf(v):
+                raise MalformedNumericFieldError(
+                    f"infinite quadratic coefficient {v}", line_no
+                )
             for cname in tokens[:2]:
                 if cname not in col_index:
                     raise UndeclaredRowOrColumnError(
@@ -477,7 +487,7 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     n_up = len(up_rows)
 
     def f1(x):
-        return 0.5 * float(x @ Q_full(x)) + float(q @ x) + c
+        return 0.5 * float(x.dot(Q_full(x))) + float(q.dot(x)) + c
 
     def grad_f1(x):
         return Q_full(x) + q

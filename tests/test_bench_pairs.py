@@ -1,7 +1,9 @@
 """tools/bench_pairs.py: pair order, seeds and the record's summaries,
 with the benchmark runs replaced by canned results."""
 
+import json
 import os
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -55,7 +57,61 @@ def test_pairs_alternate_and_summarise(bench_pairs, monkeypatch):
 def test_bad_arguments_rejected(bench_pairs, flag, tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").touch()
-    argv = [str(tmp_path), str(tmp_path), "--out", str(tmp_path / "b.json")]
+    argv = [str(tmp_path), str(tmp_path), "--out", str(tmp_path / "b.json"),
+            "--commits", "aaa", "bbb"]
     assert bench_pairs.parse_args(argv).pairs == 10
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(argv + flag)
+
+
+def _checkout(path, git=False):
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").touch()
+    if git:
+        subprocess.run(["git", "init", "-q", str(path)], check=True)
+        subprocess.run(["git", "-C", str(path), "-c", "user.name=t", "-c",
+                        "user.email=t@t", "commit", "-q", "--allow-empty",
+                        "-m", "c"], check=True)
+    return str(path)
+
+
+def test_commits_read_from_work_trees(bench_pairs, tmp_path):
+    a = _checkout(tmp_path / "a", git=True)
+    b = _checkout(tmp_path / "b", git=True)
+    head = [subprocess.run(["git", "-C", d, "rev-parse", "--short", "HEAD"],
+                           capture_output=True, text=True).stdout.strip()
+            for d in (a, b)]
+    args = bench_pairs.parse_args([a, b, "--out", str(tmp_path / "o.json")])
+    assert args.commits == head
+
+
+@pytest.mark.parametrize("where", ["archive", "inside-a-repo"])
+def test_checkout_without_its_own_commit_rejected(bench_pairs, tmp_path,
+                                                  capsys, where):
+    # An archive, alone or unpacked inside another work tree, names no
+    # commit, so without --commits the record would carry null or the
+    # enclosing repository's HEAD.
+    good = _checkout(tmp_path / "good", git=True)
+    if where == "archive":
+        bad = _checkout(tmp_path / "archive")
+    else:
+        bad = _checkout(tmp_path / "good" / "archive")
+    for argv in ([good, bad], [bad, good]):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(argv + ["--out", str(tmp_path / "o.json")])
+        assert "not a git work tree" in capsys.readouterr().err
+    args = bench_pairs.parse_args([bad, good, "--out", str(tmp_path / "o.json"),
+                                   "--commits", "abc1234", "def5678"])
+    assert args.commits == ["abc1234", "def5678"]
+
+
+def test_record_names_both_commits(bench_pairs, tmp_path, monkeypatch):
+    d = _checkout(tmp_path / "c")
+    out = tmp_path / "o.json"
+    monkeypatch.setattr(bench_pairs, "op_digest", lambda checkout: None)
+    monkeypatch.setattr(bench_pairs, "compare", lambda args, w: {"pairs": 1})
+    assert bench_pairs.main([d, d, "--out", str(out), "--workloads", "qp-suite",
+                             "--commits", "abc1234", "def5678"]) == 0
+    rec = json.loads(out.read_text())
+    assert (rec["parent_commit"], rec["change_commit"]) == ("abc1234", "def5678")
+    assert rec["workloads"] == {"qp-suite": {"pairs": 1}}

@@ -374,6 +374,31 @@ class TestNumericFields:
             parse_qps(text)
         assert info.value.line_no == 8
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("row", ["OBJ", "R1"])
+    def test_infinite_coefficient_rejected_at_its_line(self, row, token):
+        # inf * 0 would make f1(0) (objective entry) or g(0) (constraint
+        # entry) NaN.
+        text = ("NAME T\nROWS\n N  OBJ\n L  R1\n"
+                f"COLUMNS\n    X1        OBJ       1.0\n"
+                f"    X1        {row}        {token}\n"
+                "RHS\n    RHS       R1        4.0\nENDATA\n")
+        with pytest.raises(MalformedNumericFieldError) as info:
+            parse_qps(text)
+        assert info.value.line_no == 7
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("section", ["QUADOBJ", "QMATRIX"])
+    def test_infinite_quadratic_entry_rejected_at_its_line(self, section,
+                                                           token):
+        # Q = [(0, 0, inf)] would make f1 NaN at the origin.
+        text = ("NAME T\nROWS\n N  OBJ\n"
+                "COLUMNS\n    X1        OBJ       1.0\n"
+                f"{section}\n    X1        X1        {token}\nENDATA\n")
+        with pytest.raises(MalformedNumericFieldError) as info:
+            parse_qps(text)
+        assert info.value.line_no == 7
+
 
 class TestInfeasibleRows:
     @pytest.mark.parametrize("sense,rhs,rng,line", [

@@ -4,10 +4,13 @@ write the record as JSON.
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json \
         [--workloads bp-dense qp-suite qps-ineq] [--pairs 10] \
         [--seed-base 100] [--seconds 30] [--note TEXT] \
-        [--claim METRIC WORKLOAD TARGET]
+        [--claim METRIC WORKLOAD TARGET] [--commits PARENT_SHA CHANGE_SHA]
 
 PARENT and CHANGE are directories holding a checkout each (``git clone``
-or ``git archive`` of the two commits).  For each workload, pair i runs
+or ``git archive`` of the two commits).  The record names both commits:
+``--commits`` gives them, and without it each is read from its checkout
+by ``git rev-parse``; a checkout that is not a git work tree (an archive)
+then stops the tool before it runs anything.  For each workload, pair i runs
 ``bench/run.py --seed <seed-base + i> --trace 0`` once in each checkout,
 one run at a time; the parent runs first in odd pairs and the change in
 even ones, so a drift in the machine's load favours neither side.  Each
@@ -51,6 +54,8 @@ def parse_args(argv):
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--note", default="", help="what the change does")
     p.add_argument("--claim", nargs=3, metavar=("METRIC", "WORKLOAD", "TARGET"))
+    p.add_argument("--commits", nargs=2, metavar=("PARENT_SHA", "CHANGE_SHA"),
+                   help="the two commits; default: read from each checkout")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -61,6 +66,12 @@ def parse_args(argv):
     for side in SIDES:
         if not (getattr(args, side) / "bench" / "run.py").is_file():
             p.error(f"no bench/run.py in {getattr(args, side)}")
+    if args.commits is None:
+        args.commits = [commit(getattr(args, side)) for side in SIDES]
+        for side, sha in zip(SIDES, args.commits):
+            if sha is None:
+                p.error(f"{getattr(args, side)} is not a git work tree; "
+                        "name the commits with --commits")
     return args
 
 
@@ -72,9 +83,14 @@ def env() -> dict:
 
 
 def commit(checkout: Path):
-    out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                         capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else None
+    """HEAD's short hash when ``checkout`` is the top of a git work tree,
+    else None (an archive, or a directory inside another repository)."""
+    out = subprocess.run(["git", "rev-parse", "--show-toplevel", "--short",
+                          "HEAD"], cwd=checkout, capture_output=True, text=True)
+    lines = out.stdout.split()
+    if out.returncode or Path(lines[0]).resolve() != Path(checkout).resolve():
+        return None
+    return lines[1]
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -149,7 +165,8 @@ def main(argv=None) -> int:
 
     record = {
         "change": args.note,
-        "parent_commit": commit(args.parent),
+        "parent_commit": args.commits[0],
+        "change_commit": args.commits[1],
         "command": "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload W "
                    f"--seed S --seconds {args.seconds:g} --trace 0",
         "method": "one run at a time; parent and change alternate, the side "
