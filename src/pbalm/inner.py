@@ -259,8 +259,8 @@ def solve_subproblem(
                 if math.isfinite(fc):
                     gc = grad(cand)
                     cbar, rc, f2c = forward_backward(cand, gc)
-                    fbe_c = (fc - float(gc.dot(rc)) + float(rc.dot(rc)) / (2.0 * gamma)
-                             + f2c)
+                    fbe_c = (fc - float(gc.dot(rc))
+                             + float(rc.dot(rc)) / (2.0 * gamma) + f2c)
                     if fbe_c <= fbe - sigma * rsq / (2.0 * gamma):
                         accepted = True
                         break

@@ -6,21 +6,21 @@ write the record as JSON.
         [--seed-base 100] [--seconds 30] [--note TEXT] \
         [--claim METRIC WORKLOAD TARGET] [--commits PARENT_SHA CHANGE_SHA]
 
-PARENT and CHANGE are directories holding a checkout each (``git clone``
-or ``git archive`` of the two commits).  The record names both commits:
-``--commits`` gives them, and without it each is read from its checkout
-by ``git rev-parse``; a checkout that is not a git work tree (an archive)
-then stops the tool before it runs anything.  For each workload, pair i runs
-``bench/run.py --seed <seed-base + i> --trace 0`` once in each checkout,
-one run at a time; the parent runs first in odd pairs and the change in
-even ones, so a drift in the machine's load favours neither side.  Each
-end-to-end metric is summarised by its median and quartiles (linear
-interpolation, numpy.percentile 25/50/75) over the pairs, with every run
-listed, and by the number of pairs in which the change reads lower.  The
-record also holds each run's ``attempted``/``failed`` counts, whether
-every run was correct, the iteration counts seen, and the sha256 of
-``tools/op_digest.py``'s output in each checkout, which is equal when
-every benchmark solve is bit-identical.  The file is rewritten after each
+PARENT and CHANGE are directories holding a checkout each (``git clone`` or
+``git archive`` of the two commits).  The record names both commits:
+``--commits`` gives them, and without it each is read from its checkout by
+``git rev-parse``; a checkout that is not the top of its own git work tree
+(an archive) then stops the tool before it runs anything.  For each
+workload, pair i runs ``bench/run.py --seed <seed-base + i> --trace 0``
+once in each checkout, one run at a time; the parent runs first in odd
+pairs and the change in even ones, so a drift in the machine's load favours
+neither side.  Each end-to-end metric is summarised by its median and
+quartiles (linear interpolation, numpy.percentile 25/50/75) over the pairs,
+with every run listed, and by the number of pairs in which the change reads
+lower.  The record also holds each run's ``attempted``/``failed`` counts,
+whether every run was correct, the iteration counts seen, and the sha256 of
+``tools/op_digest.py``'s output in each checkout, which is equal when every
+benchmark solve is bit-identical.  The file is rewritten after each
 workload, so an interrupted comparison keeps the workloads it finished.
 """
 
@@ -87,7 +87,7 @@ def commit(checkout: Path):
     else None (an archive, or a directory inside another repository)."""
     out = subprocess.run(["git", "rev-parse", "--show-toplevel", "--short",
                           "HEAD"], cwd=checkout, capture_output=True, text=True)
-    lines = out.stdout.split()
+    lines = out.stdout.splitlines()
     if out.returncode or Path(lines[0]).resolve() != Path(checkout).resolve():
         return None
     return lines[1]
