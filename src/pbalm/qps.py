@@ -24,23 +24,34 @@ checked after the whole BOUNDS section, so a column's records may come
 in any order; as in most MPS readers, a negative UP on a column whose
 lower bound no record sets makes that lower bound -inf, with a warning.
 
-Parsing needs numpy alone.  scipy.sparse is imported where the sparse
-matrices are built, in SparseTriplets.to_csr and qp_to_problem, so
-importing pbalm and solving a problem with dense maps never loads scipy.
+A coefficient that repeats a (row, column) pair, in COLUMNS, QUADOBJ or
+QMATRIX, is added to the earlier ones, and the running sum (for QMATRIX,
+the mean of the (i, j) and (j, i) sums that Q gets) is checked: the line
+that makes it infinite raises MalformedNumericFieldError.
 
-The assembled maps call scipy's compiled CSR/CSC matrix-vector kernels
-(csr_matvec, csc_matvec from the private scipy.sparse._sparsetools)
-directly: they are the kernels ``M @ v`` calls, with the same arguments,
-so the results are the same bit for bit, but each product skips 2.5-8 us
-of ``@``'s Python dispatch, about half of a small map's time.  The
-kernels do not check lengths, so each product checks its vector's shape.
-tests/test_qps.py::TestAssembly pins the private module: the maps must
-equal their ``@`` forms bit for bit and reject a wrong-length vector.
+Parsing needs numpy alone.  Assembly also needs the compiled CSR/CSC
+matrix-vector kernels of the installed scipy (csr_matvec and csc_matvec,
+from the extension file scipy/sparse/_sparsetools.*), loaded as a module
+of their own so that no scipy module is imported.  qp_to_problem builds
+each matrix's canonical CSR arrays from the triplets with numpy, and
+applies a transpose as the CSC view of the same arrays, as scipy's M.T
+does; each product calls the kernel that ``M @ v`` calls, with the same
+arguments, so the results are the same bit for bit, but each skips
+2.5-8 us of ``@``'s Python dispatch, about half of a small map's time.
+The kernels do not check lengths, so each product checks its vector's
+shape.  Only SparseTriplets.to_csr imports scipy.sparse.
+tests/test_qps.py::TestAssembly pins the extension: the maps must equal
+their ``@`` forms on to_csr's matrices bit for bit and reject a
+wrong-length vector.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
@@ -185,7 +196,7 @@ def parse_qps(text: str) -> QpData:
     obj_row: Optional[str] = None
     col_index: dict = {}
     q_lin: dict = {}              # col -> linear objective coefficient
-    a_entries: List[Tuple[int, int, float]] = []
+    a_sums: dict = {}             # (row, col) -> constraint coefficient
     # section -> row name -> (value, line)
     given: dict = {"RHS": {}, "RANGES": {}}
     bounds: List[Tuple[str, str, Optional[float], int]] = []
@@ -242,19 +253,21 @@ def parse_qps(text: str) -> QpData:
                 col_index[cname] = len(col_index)
             j = col_index[cname]
             for rname, v in _pairs(tokens, section, line_no):
-                if math.isinf(v):
-                    raise MalformedNumericFieldError(
-                        f"infinite coefficient {v} in row {rname!r}", line_no
-                    )
+                total = v  # an extra free row: declared but not a constraint
                 if rname == obj_row:
-                    q_lin[j] = q_lin.get(j, 0.0) + v
+                    total = q_lin[j] = q_lin.get(j, 0.0) + v
                 elif rname in row_index:
-                    a_entries.append((row_index[rname], j, v))
+                    key = (row_index[rname], j)
+                    total = a_sums[key] = a_sums.get(key, 0.0) + v
                 elif rname not in row_sense:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared row {rname!r}", line_no
                     )
-                # else an extra free row: declared but not a constraint
+                if math.isinf(total):
+                    raise MalformedNumericFieldError(
+                        f"coefficient {v} of column {cname!r} in row "
+                        f"{rname!r} makes its entry {total}", line_no
+                    )
 
         elif section in ("RHS", "RANGES"):
             for rname, v in _pairs(tokens, section, line_no):
@@ -292,18 +305,24 @@ def parse_qps(text: str) -> QpData:
                     f"{section} entry needs two columns and a value", line_no
                 )
             v = _num(tokens[2], line_no)
-            if math.isinf(v):
-                raise MalformedNumericFieldError(
-                    f"infinite quadratic coefficient {v}", line_no
-                )
             for cname in tokens[:2]:
                 if cname not in col_index:
                     raise UndeclaredRowOrColumnError(
                         f"undeclared column {cname!r}", line_no
                     )
             i, j = col_index[tokens[0]], col_index[tokens[1]]
-            key = (i, j) if section == "QMATRIX" else (max(i, j), min(i, j))
-            quad[key] = quad.get(key, 0.0) + v
+            if section == "QMATRIX":
+                quad[i, j] = quad.get((i, j), 0.0) + v
+                # The entry Q gets, as the lower triangle is built below.
+                total = 0.5 * (quad[i, j] + quad.get((j, i), 0.0))
+            else:
+                key = (max(i, j), min(i, j))
+                total = quad[key] = quad.get(key, 0.0) + v
+            if math.isinf(total):
+                raise MalformedNumericFieldError(
+                    f"quadratic coefficient {v} makes its entry {total}",
+                    line_no
+                )
 
         elif section == "OBJSENSE":
             obj_sign = _obj_sign(tokens[0], line_no)
@@ -412,7 +431,8 @@ def parse_qps(text: str) -> QpData:
         Q=SparseTriplets(nrows=n, ncols=n, entries=q_entries),
         q=q_vec,
         c=obj_const,
-        A=SparseTriplets(nrows=m_rows, ncols=n, entries=a_entries),
+        A=SparseTriplets(nrows=m_rows, ncols=n,
+                         entries=[(i, j, v) for (i, j), v in a_sums.items()]),
         row_lower=row_lower,
         row_upper=row_upper,
         var_lower=var_lower,
@@ -425,15 +445,73 @@ def parse_qps_file(path) -> QpData:
         return parse_qps(fh.read())
 
 
-def _matvec(M):
-    """v -> M @ v for a CSR or CSC matrix M, by the compiled kernel that
-    ``@`` calls (see the module docstring); the kernel does not check
-    lengths, so the closure does."""
-    from scipy.sparse import _sparsetools
+def _load_sparsetools(directory: str):
+    """scipy's compiled _sparsetools extension, loaded from its file in
+    ``directory`` as a module of its own, so that no scipy package is
+    imported."""
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools",
+                                                    [directory])
+    if spec is None:
+        raise ImportError(f"no _sparsetools extension in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    kernel = getattr(_sparsetools, M.format + "_matvec")
-    nrows, ncols = M.shape
-    indptr, indices, data = M.indptr, M.indices, M.data
+
+@functools.lru_cache(maxsize=None)
+def _kernels():
+    """The _sparsetools extension of the installed scipy; find_spec on a
+    top-level name locates the package without importing it."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("assembling a QPS problem needs scipy")
+    return _load_sparsetools(
+        os.path.join(spec.submodule_search_locations[0], "sparse"))
+
+
+def _triplet_arrays(t: SparseTriplets):
+    r, c, v = zip(*t.entries) if t.entries else ((), (), ())
+    return (np.array(r, dtype=np.int64), np.array(c, dtype=np.int64),
+            np.array(v, dtype=float))
+
+
+def _csr(nrows, ncols, rows, cols, vals):
+    """Canonical CSR arrays (indptr, indices, data) of the triplets: rows,
+    then columns within a row, ascending; duplicates summed in input
+    order.  Indices are int32 while they fit, as scipy makes them."""
+    if len(rows) and not (0 <= rows.min() and rows.max() < nrows
+                          and 0 <= cols.min() and cols.max() < ncols):
+        raise problem.DimensionMismatchError(
+            f"entry index outside a {nrows}x{ncols} matrix")
+    keys, slot = np.unique(rows * ncols + cols, return_inverse=True)
+    data = np.zeros(len(keys))
+    np.add.at(data, slot, vals)
+    row, col = np.divmod(keys, ncols)
+    itype = np.int32 if max(nrows, ncols, len(keys)) < 2**31 else np.int64
+    indptr = np.zeros(nrows + 1, itype)
+    np.cumsum(np.bincount(row, minlength=nrows), out=indptr[1:])
+    return indptr, col.astype(itype), data
+
+
+def _csr_rows(csr, rows):
+    """The CSR arrays of the given rows of ``csr``, in that order."""
+    indptr, indices, data = csr
+    start = indptr[rows]
+    lengths = indptr[rows + 1] - start
+    sub = np.zeros(len(rows) + 1, indptr.dtype)
+    np.cumsum(lengths, out=sub[1:])
+    at = np.repeat(start - sub[:-1], lengths) + np.arange(sub[-1])
+    return sub, indices[at], data[at]
+
+
+def _matvec(kind, shape, arrays):
+    """v -> M @ v for the CSR matrix (kind "csr") or CSC matrix ("csc") of
+    ``shape`` stored in ``arrays``, by the compiled kernel that ``@``
+    calls (see the module docstring); the kernel does not check lengths,
+    so the closure does."""
+    kernel = getattr(_kernels(), kind + "_matvec")
+    nrows, ncols = shape
+    indptr, indices, data = arrays
 
     def matvec(v):
         if v.shape != (ncols,):
@@ -453,38 +531,49 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     Equality rows (l = u) contribute both directions by default; with
     ``eq_as_h`` they become true equality constraints instead, so the
     equality penalty applies to them.
-    """
-    import scipy.sparse as sp
 
+    The matrices are CSR arrays built with numpy.  Their products call
+    csr_matvec and csc_matvec from scipy's compiled _sparsetools
+    extension, loaded from its file without importing any scipy module
+    (see the module docstring); only SparseTriplets.to_csr imports
+    scipy.sparse.
+    """
     n = qp.n
-    Q_low = qp.Q.to_csr()
-    Q_full = Q_low + Q_low.T - sp.diags(Q_low.diagonal())
     q, c = qp.q, qp.c
-    A = qp.A.to_csr()
+    # Q in full: the lower triangle with its off-diagonal entries mirrored.
+    r, k, v = _triplet_arrays(qp.Q)
+    off = r != k
+    Q_full = _csr(n, n, np.concatenate([r, k[off]]),
+                  np.concatenate([k, r[off]]), np.concatenate([v, v[off]]))
+    A = _csr(qp.m_rows, n, *_triplet_arrays(qp.A))
 
     as_h = (qp.row_lower == qp.row_upper) & eq_as_h
     eq_rows = np.flatnonzero(as_h)
     up_rows = np.flatnonzero(np.isfinite(qp.row_upper) & ~as_h)
     lo_rows = np.flatnonzero(np.isfinite(qp.row_lower) & ~as_h)
 
-    A_eq = A[eq_rows]
+    A_eq = _csr_rows(A, eq_rows)
     b_eq = qp.row_lower[eq_rows]
-    A_up = A[up_rows]
+    A_up = _csr_rows(A, up_rows)
     u = qp.row_upper[up_rows]
-    A_lo = A[lo_rows]
+    A_lo = _csr_rows(A, lo_rows)
     l = qp.row_lower[lo_rows]
-    # g as one product: negation is exact, so G @ x + c equals the two-
-    # product form bit for bit.  J^T stays split: stacking it would
-    # reorder its sums.
-    G = sp.vstack([A_up, -A_lo], format="csr")
-    c_g = np.concatenate([-u, l])
-    # From here on each matrix is its product v -> M @ v.
-    Q_full, A_eq, A_eq_T, G, A_up_T, A_lo_T = map(
-        _matvec, (Q_full, A_eq, A_eq.T, G, A_up.T, A_lo.T))
-
     p = len(eq_rows)
-    m = len(up_rows) + len(lo_rows)
     n_up = len(up_rows)
+    m = n_up + len(lo_rows)
+    # g as one product over the rows [up; lo], lo's entries negated:
+    # negation is exact, so G @ x + c equals the two-product form bit for
+    # bit.  J^T stays split: stacking it would reorder its sums.
+    G = _csr_rows(A, np.concatenate([up_rows, lo_rows]))
+    G[2][G[0][n_up]:] *= -1.0
+    c_g = np.concatenate([-u, l])
+    # From here on each matrix is its product v -> M @ v; a transpose is
+    # the CSC view of the same arrays, as scipy's M.T is.
+    Q_full = _matvec("csr", (n, n), Q_full)
+    A_eq, A_eq_T = _matvec("csr", (p, n), A_eq), _matvec("csc", (n, p), A_eq)
+    G = _matvec("csr", (m, n), G)
+    A_up_T = _matvec("csc", (n, n_up), A_up)
+    A_lo_T = _matvec("csc", (n, m - n_up), A_lo)
 
     def f1(x):
         return 0.5 * float(x.dot(Q_full(x))) + float(q.dot(x)) + c

@@ -435,19 +435,21 @@ class TestLbfgsMemory:
 
 
 def test_dense_solves_import_no_scipy():
-    """Importing pbalm, solving with dense maps and parsing a QPS text load
-    numpy alone; scipy.sparse enters only when qp_to_problem assembles
-    the parsed problem.  On x86-64 Linux the dense part of this script
-    peaks at about 35 MiB of resident memory; importing scipy.sparse with
-    pbalm takes it to 51 MiB, and scipy.linalg would add about 8 MiB."""
+    """Importing pbalm, solving with dense maps, and parsing, assembling
+    and solving (phase-I, then P-BALM) a QPS problem load no scipy
+    module: the QPS maps call scipy's compiled kernels, loaded from their
+    extension file alone.  On x86-64 Linux this script peaks at about
+    36 MiB of resident memory; importing scipy.sparse would take it to
+    about 51 MiB, and scipy.linalg would add about 8 MiB more."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    qps = os.path.join(src, "pbalm", "fixtures", "tiny_eq.qps")
+    qps = os.path.join(src, "pbalm", "fixtures", "tiny_box.qps")
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {os.path.abspath(src)!r})",
         "import numpy as np",
-        "from pbalm import (OuterConfig, gen_basis_pursuit, make_random_eq_qp,",
-        "                   parse_qps_file, qp_problem, qp_to_problem, run)",
+        "from pbalm import (OuterConfig, find_feasible, gen_basis_pursuit,",
+        "                   make_random_eq_qp, parse_qps_file, qp_problem,",
+        "                   qp_to_problem, run)",
         "def scipy_modules():",
         "    return sorted(m for m in sys.modules",
         "                  if m == 'scipy' or m.startswith('scipy.'))",
@@ -456,11 +458,14 @@ def test_dense_solves_import_no_scipy():
         "eq = make_random_eq_qp(8, 3, seed=0)",
         "x0 = eq.feasible_point(np.random.default_rng(0))",
         "print(run(qp_problem(eq), x0, OuterConfig()).status.value)",
-        f"qp = parse_qps_file({os.path.abspath(qps)!r})",
-        "print(scipy_modules() == [])",
-        "qp_to_problem(qp)",
-        "print('scipy.sparse' in scipy_modules())",
+        f"prob = qp_to_problem(parse_qps_file({os.path.abspath(qps)!r}))",
+        "print(scipy_modules())",
+        "cfg = OuterConfig(delta=1.0)",
+        "x0 = find_feasible(prob, prob.prox_f2(np.zeros(prob.n), 1.0),",
+        "                   tol=1e-8, cfg=cfg)",
+        "print(run(prob, x0, cfg).status.value)",
+        "print(scipy_modules())",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["eps_kkt", "eps_kkt", "True", "True"]
+    assert out.stdout.split() == ["eps_kkt", "eps_kkt", "[]", "eps_kkt", "[]"]

@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from pbalm.qps import (
     parse_qps_file,
     qp_to_problem,
 )
-from pbalm import problem
+from pbalm import problem, qps
 from pbalm.outer import OuterConfig, SolveStatus, run
 from conftest import fd_grad, rel_err
 
@@ -399,6 +400,48 @@ class TestNumericFields:
             parse_qps(text)
         assert info.value.line_no == 7
 
+    @pytest.mark.parametrize("row", ["OBJ", "R1"])
+    def test_coefficients_summing_to_inf_rejected_at_the_line(self, row):
+        # Each finite, the repeated entries summed to q = [inf] (objective)
+        # or A = [(0, 0, inf)] (constraint), so f1(0) or g(0) was NaN.
+        text = ("NAME T\nROWS\n N  OBJ\n L  R1\n"
+                "COLUMNS\n    X1        OBJ       1.0       R1        1.0\n"
+                + f"    X1        {row}        1e308\n" * 2
+                + "RHS\n    RHS       R1        4.0\nENDATA\n")
+        with pytest.raises(MalformedNumericFieldError) as info:
+            parse_qps(text)
+        assert info.value.line_no == 8
+
+    @pytest.mark.parametrize("section,pair", [
+        ("QUADOBJ", ("X1        X1", "X1        X1")),
+        ("QUADOBJ", ("X2        X1", "X1        X2")),
+        ("QMATRIX", ("X2        X1", "X1        X2"))],
+        ids=["quadobj-diagonal", "quadobj-mirrored", "qmatrix-pair"])
+    def test_quadratic_entries_summing_to_inf_rejected_at_the_line(
+            self, section, pair):
+        # Each finite, the two entries made Q = [(.., .., inf)], so f1(0)
+        # was NaN; QMATRIX's entry is the mean of (i, j) and (j, i).
+        text = ("NAME T\nROWS\n N  OBJ\n"
+                "COLUMNS\n    X1        OBJ       1.0\n    X2        OBJ       1.0\n"
+                f"{section}\n    {pair[0]}        1e308\n"
+                f"    {pair[1]}        1e308\nENDATA\n")
+        with pytest.raises(MalformedNumericFieldError) as info:
+            parse_qps(text)
+        assert info.value.line_no == 9
+
+    def test_repeated_entries_summed_into_one(self):
+        # The sum is checked as it runs, not each term's size: 1e308 -
+        # 1e308 + 1e308 is finite at every step.
+        qp = parse_qps(
+            "NAME T\nROWS\n N  OBJ\n L  R1\n"
+            "COLUMNS\n    X1        R1        1e308     OBJ       2.0\n"
+            "    X2        R1        1.0\n"
+            "    X1        R1        -1e308    R1        1e308\n"
+            "    X1        OBJ       0.5\n"
+            "RHS\n    RHS       R1        4.0\nENDATA\n")
+        assert qp.A.entries == [(0, 0, 1e308), (0, 1, 1.0)]
+        np.testing.assert_array_equal(qp.q, [2.5, 0.0])
+
 
 class TestInfeasibleRows:
     @pytest.mark.parametrize("sense,rhs,rng,line", [
@@ -448,24 +491,53 @@ def _row_bounds(case, rows=24, seed=0):
     if case == "no-lower":
         lower[:] = -INF
         return lower, upper
-    if case == "mixed":
+    if case in ("mixed", "pairs-and-zeros"):
         upper[:6] = lower[:6]      # equality rows
     lower[6:12] = -INF             # upper only
     upper[12:18] = INF             # lower only
     return lower, upper
 
 
+def _pairs_and_zeros(t, lower, rng):
+    """``t`` with every third entry repeated at a new value, one more
+    entry repeated at its negation (a pair that sums to 0.0), one value
+    set to 0.0, and explicit zeros at five unused positions (in the lower
+    triangle if ``lower``), all in shuffled order.  No (row, col) appears
+    more than twice, so each sum is of one pair, in either order."""
+    entries = list(t.entries)
+    taken = {(i, j) for i, j, _ in entries}
+    extra = [(i, j, rng.standard_normal()) for i, j, _ in entries[::3]]
+    i, j, v = entries[1]
+    extra.append((i, j, -v))
+    i, j, _ = entries[2]
+    entries[2] = (i, j, 0.0)
+    free = [(i, j) for i in range(t.nrows)
+            for j in range(i + 1 if lower else t.ncols) if (i, j) not in taken]
+    extra += [(i, j, 0.0) for i, j in free[:5]]
+    entries += extra
+    rng.shuffle(entries)
+    return SparseTriplets(t.nrows, t.ncols, entries)
+
+
 class TestAssembly:
     @pytest.mark.parametrize("eq_as_h", [False, True])
-    @pytest.mark.parametrize("case", ["mixed", "no-eq", "no-lower", "no-rows"])
+    @pytest.mark.parametrize("case", ["mixed", "no-eq", "no-lower", "no-rows",
+                                      "pairs-and-zeros"])
     def test_every_map_equals_its_product_form_bitwise(self, case, eq_as_h):
         """The maps call scipy's compiled CSR/CSC kernels directly (from
-        the private scipy.sparse._sparsetools, which this test pins); each
-        must equal its form with scipy's ``@`` bit for bit.  g, one stacked
-        product, must equal the two-product form [A_up x - u; l - A_lo x]."""
+        the _sparsetools extension file, which this test pins) on CSR
+        arrays built with numpy; each must equal its form with scipy's
+        ``@`` on ``to_csr``'s matrices bit for bit.  g, one stacked
+        product, must equal the two-product form [A_up x - u; l - A_lo x].
+        The pairs-and-zeros case repeats (row, col) entries and stores
+        explicit zeros in both Q and A."""
         n = 30
         lower, upper = _row_bounds(case)
         qp = _random_qp(n, lower, upper)
+        if case == "pairs-and-zeros":
+            rng = np.random.default_rng(2)
+            qp.Q = _pairs_and_zeros(qp.Q, True, rng)
+            qp.A = _pairs_and_zeros(qp.A, False, rng)
         prob = qp_to_problem(qp, eq_as_h=eq_as_h)
         Q_low = qp.Q.to_csr()
         Q = Q_low + Q_low.T - sp.diags(Q_low.diagonal())
@@ -493,6 +565,11 @@ class TestAssembly:
             assert np.array_equal(
                 prob.jac_g_transpose_apply(x, z),
                 A_up.T @ z[:len(up)] - A_lo.T @ z[len(up):])
+
+    def test_kernel_loader_names_the_directory_it_searched(self, tmp_path):
+        with pytest.raises(ImportError, match="no _sparsetools extension in "
+                           + re.escape(str(tmp_path))):
+            qps._load_sparsetools(str(tmp_path))
 
     @pytest.mark.parametrize("case", ["mixed", "no-eq", "no-lower", "no-rows"])
     def test_wrong_length_raises(self, case):
