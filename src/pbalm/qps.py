@@ -114,10 +114,7 @@ class SparseTriplets:
         entries are summed."""
         import scipy.sparse as sp
 
-        if self.entries:
-            r, c, v = zip(*self.entries)
-        else:
-            r, c, v = (), (), ()
+        r, c, v = _triplet_arrays(self)
         return sp.coo_matrix((v, (r, c)), shape=(self.nrows, self.ncols)).tocsr()
 
 

@@ -566,6 +566,17 @@ class TestAssembly:
                 prob.jac_g_transpose_apply(x, z),
                 A_up.T @ z[:len(up)] - A_lo.T @ z[len(up):])
 
+    @pytest.mark.parametrize("field,entry", [("A", (0, 30, 1.0)),
+                                             ("A", (1, -1, 1.0)),
+                                             ("Q", (30, 0, 1.0))])
+    def test_entry_outside_the_matrix_raises(self, field, entry):
+        # scipy's COO conversion raised ValueError here.  Read as a flat
+        # index, A's (0, 30) would be (1, 0) and (1, -1) would be (0, 29).
+        qp = _random_qp(30, *_row_bounds("mixed"))
+        getattr(qp, field).entries.append(entry)
+        with pytest.raises(ValueError):
+            qp_to_problem(qp)
+
     def test_kernel_loader_names_the_directory_it_searched(self, tmp_path):
         with pytest.raises(ImportError, match="no _sparsetools extension in "
                            + re.escape(str(tmp_path))):
