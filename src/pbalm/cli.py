@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "in the summary")
     p.add_argument("--phase1", action="store_true",
                    help="bootstrap a feasible start via the phase-I problem")
-    p.add_argument("--eq-as-h", action="store_true",
-                   help="emit equality rows of a QPS file as true equalities")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="trace output path; '-' or omitted writes no trace")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -191,7 +189,7 @@ def _build_problem(args, seed: int):
         return prob, x_feasible
     path = args.qps if args.qps else fixture_path(args.fixture)
     qp = parse_qps_file(path)
-    prob = qp_to_problem(qp, eq_as_h=args.eq_as_h)
+    prob = qp_to_problem(qp)
     x0 = prob.prox_f2(np.zeros(prob.n), 1.0)
     return prob, x0
 

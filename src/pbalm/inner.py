@@ -271,6 +271,10 @@ def solve_subproblem(
                 out = result(cand, fc, gc)
                 if out.converged:
                     return out
+                if not r.any():
+                    # A rounded fixed point: x = T(x), the memory rejects
+                    # s = 0, so every later iteration repeats this one.
+                    return result(best_x, best_f, grad(best_x))
             cbar, rc, f2c = forward_backward(cand, gc)
 
         mem.push(cand - x, rc - r)

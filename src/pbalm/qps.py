@@ -39,9 +39,8 @@ does; each product calls the kernel that ``M @ v`` calls, with the same
 arguments, so the results are the same bit for bit, but each skips
 2.5-8 us of ``@``'s Python dispatch, about half of a small map's time.
 The kernels do not check lengths, so each product checks its vector's
-shape.  Only SparseTriplets.to_csr imports scipy.sparse.
-tests/test_qps.py::TestAssembly pins the extension: the maps must equal
-their ``@`` forms on to_csr's matrices bit for bit and reject a
+shape.  tests/test_qps.py::TestAssembly pins the extension: the maps must
+equal their ``@`` forms on scipy.sparse matrices bit for bit and reject a
 wrong-length vector.
 """
 
@@ -109,14 +108,6 @@ class SparseTriplets:
     ncols: int
     entries: List[Tuple[int, int, float]] = field(default_factory=list)
 
-    def to_csr(self):
-        """Finalize as a scipy.sparse CSR matrix; duplicate (row, col)
-        entries are summed."""
-        import scipy.sparse as sp
-
-        r, c, v = _triplet_arrays(self)
-        return sp.coo_matrix((v, (r, c)), shape=(self.nrows, self.ncols)).tocsr()
-
 
 @dataclass
 class QpData:
@@ -172,6 +163,13 @@ def _num(token: str, line_no: int) -> float:
             f"malformed numeric field {token!r}", line_no
         )
     return v
+
+
+def _mean(a: float, b: float) -> float:
+    """0.5 * (a + b), or 0.5 * a + 0.5 * b when the sum overflows: halving
+    first would round subnormal terms."""
+    mean = 0.5 * (a + b)
+    return mean if math.isfinite(mean) else 0.5 * a + 0.5 * b
 
 
 def _pairs(tokens: List[str], section: str,
@@ -311,7 +309,7 @@ def parse_qps(text: str) -> QpData:
             if section == "QMATRIX":
                 quad[i, j] = quad.get((i, j), 0.0) + v
                 # The entry Q gets, as the lower triangle is built below.
-                total = 0.5 * (quad[i, j] + quad.get((j, i), 0.0))
+                total = _mean(quad[i, j], quad.get((j, i), 0.0))
             else:
                 key = (max(i, j), min(i, j))
                 total = quad[key] = quad.get(key, 0.0) + v
@@ -404,10 +402,10 @@ def parse_qps(text: str) -> QpData:
 
     # Quadratic objective, stored as the lower triangle of symmetric Q.
     if "QMATRIX" in seen_sections:
-        # 0.5 * (v + v) == v, so the diagonal needs no special case.
+        # The mean of v and v is v, so the diagonal needs no special case.
         lower_keys = sorted({(max(i, j), min(i, j)) for i, j in quad})
-        q_entries = [(i, j, 0.5 * (quad.get((i, j), 0.0)
-                                   + quad.get((j, i), 0.0)))
+        q_entries = [(i, j, _mean(quad.get((i, j), 0.0),
+                                  quad.get((j, i), 0.0)))
                      for i, j in lower_keys]
     else:
         q_entries = [(i, j, v) for (i, j), v in sorted(quad.items())]
@@ -521,19 +519,17 @@ def _matvec(kind, shape, arrays):
     return matvec
 
 
-def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
-    """Assemble the solver form: quadratic f1, box f2, and inequalities
-    stacked as [A x - u; l - A x] over rows with finite bounds.
+def qp_to_problem(qp: QpData) -> ProblemSpec:
+    """Assemble the solver form: quadratic f1, box f2, and the
+    inequalities g(x) = G x + c_g = [A_up x - u; l - A_lo x] over the rows
+    with a finite upper bound u and those with a finite lower bound l.  An
+    equality row (l = u) contributes both, so the problem has no h (p = 0).
 
-    Equality rows (l = u) contribute both directions by default; with
-    ``eq_as_h`` they become true equality constraints instead, so the
-    equality penalty applies to them.
-
-    The matrices are CSR arrays built with numpy.  Their products call
-    csr_matvec and csc_matvec from scipy's compiled _sparsetools
-    extension, loaded from its file without importing any scipy module
-    (see the module docstring); only SparseTriplets.to_csr imports
-    scipy.sparse.
+    G = [A_up; -A_lo] is built once, from A's rows.  J^T y is
+    G_up^T y_up + G_lo^T y_lo, from the CSC views of G's two row blocks:
+    negation is exact, a - b equals a + (-b), and the kernels' sums start
+    at +0.0, so this equals A_up^T y_up - A_lo^T y_lo bit for bit.  One
+    stacked J^T product would reorder its sums.
     """
     n = qp.n
     q, c = qp.q, qp.c
@@ -542,35 +538,24 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     off = r != k
     Q_full = _csr(n, n, np.concatenate([r, k[off]]),
                   np.concatenate([k, r[off]]), np.concatenate([v, v[off]]))
+
     A = _csr(qp.m_rows, n, *_triplet_arrays(qp.A))
-
-    as_h = (qp.row_lower == qp.row_upper) & eq_as_h
-    eq_rows = np.flatnonzero(as_h)
-    up_rows = np.flatnonzero(np.isfinite(qp.row_upper) & ~as_h)
-    lo_rows = np.flatnonzero(np.isfinite(qp.row_lower) & ~as_h)
-
-    A_eq = _csr_rows(A, eq_rows)
-    b_eq = qp.row_lower[eq_rows]
-    A_up = _csr_rows(A, up_rows)
-    u = qp.row_upper[up_rows]
-    A_lo = _csr_rows(A, lo_rows)
-    l = qp.row_lower[lo_rows]
-    p = len(eq_rows)
+    up_rows = np.flatnonzero(np.isfinite(qp.row_upper))
+    lo_rows = np.flatnonzero(np.isfinite(qp.row_lower))
     n_up = len(up_rows)
     m = n_up + len(lo_rows)
-    # g as one product over the rows [up; lo], lo's entries negated:
-    # negation is exact, so G @ x + c equals the two-product form bit for
-    # bit.  J^T stays split: stacking it would reorder its sums.
-    G = _csr_rows(A, np.concatenate([up_rows, lo_rows]))
-    G[2][G[0][n_up]:] *= -1.0
-    c_g = np.concatenate([-u, l])
+    indptr, indices, data = _csr_rows(A, np.concatenate([up_rows, lo_rows]))
+    split = indptr[n_up]
+    data[split:] *= -1.0
+    c_g = np.concatenate([-qp.row_upper[up_rows], qp.row_lower[lo_rows]])
+    G_up = indptr[:n_up + 1], indices[:split], data[:split]
+    G_lo = indptr[n_up:] - split, indices[split:], data[split:]
     # From here on each matrix is its product v -> M @ v; a transpose is
     # the CSC view of the same arrays, as scipy's M.T is.
     Q_full = _matvec("csr", (n, n), Q_full)
-    A_eq, A_eq_T = _matvec("csr", (p, n), A_eq), _matvec("csc", (n, p), A_eq)
-    G = _matvec("csr", (m, n), G)
-    A_up_T = _matvec("csc", (n, n_up), A_up)
-    A_lo_T = _matvec("csc", (n, m - n_up), A_lo)
+    G = _matvec("csr", (m, n), (indptr, indices, data))
+    G_up_T = _matvec("csc", (n, n_up), G_up)
+    G_lo_T = _matvec("csc", (n, m - n_up), G_lo)
 
     def f1(x):
         return 0.5 * float(x.dot(Q_full(x))) + float(q.dot(x)) + c
@@ -578,24 +563,17 @@ def qp_to_problem(qp: QpData, eq_as_h: bool = False) -> ProblemSpec:
     def grad_f1(x):
         return Q_full(x) + q
 
-    def h(x):
-        return A_eq(x) - b_eq
-
-    def jac_h_T(x, y):
-        return A_eq_T(y)
-
     def g(x):
         return G(x) + c_g
 
     def jac_g_T(x, y):
-        return A_up_T(y[:n_up]) - A_lo_T(y[n_up:])
+        return G_up_T(y[:n_up]) + G_lo_T(y[n_up:])
 
     f2_value, prox_f2 = box_problem_terms(qp.var_lower, qp.var_upper)
 
     return ProblemSpec(
-        n=n, p=p, m=m,
+        n=n, m=m,
         f1=f1, grad_f1=grad_f1,
-        h=h, jac_h_transpose_apply=jac_h_T,
         g=g, jac_g_transpose_apply=jac_g_T,
         f2_value=f2_value, prox_f2=prox_f2,
         name=qp.name or "qps-problem",

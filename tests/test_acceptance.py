@@ -161,6 +161,25 @@ class TestStepsHonourTheDescentLemma:
         assert res.trace[-1].inner_grad_evals <= 400
 
 
+class TestRoundedFixedPoint:
+    def test_pbalm12_leaves_the_fixed_point_at_once(self):
+        """make_random_eq_qp(10, 4, 10) under P-BALM with phi(k) = k^12:
+        after the penalty jump, the last inner solve reaches a point whose
+        step gamma * grad rounds away, so r = x - T(x) is exactly 0 and
+        every later iteration repeats one state.  It ran all 2000
+        iterations, 2052 gradients in the whole solve, and returned the
+        same best point that leaving at once returns."""
+        prob, x_star, x_start = eq_qp_case(10)
+        res, _ = solve_tight("pbalm-12", prob, x_start)
+        assert res.status is SolveStatus.EPS_KKT
+        x_err, f_err = oracle_errors(prob, res, x_star)
+        assert x_err <= 1e-4 and f_err <= 1e-6, (x_err, f_err)
+        last = res.trace[-1]
+        assert not last.inner_converged
+        assert last.inner_iters < 10
+        assert res.grad_evals <= 100
+
+
 @pytest.mark.slow
 class TestEqualityQpSweep:
     """The suite's instances and starts over seeds 0-599."""

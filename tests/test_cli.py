@@ -151,24 +151,6 @@ class TestRuns:
                      "--phase1"]) == 0
         assert "status=eps_kkt" in capsys.readouterr().out
 
-    def test_eq_as_h_reaches_the_same_optimum(self, capsys):
-        # tiny_eq's E row as two inequalities (G, its penalty nu) or as an
-        # equality (A_eq and A_eq^T, its penalty rho); the origin violates
-        # it, so both start from phase-I.
-        runs = []
-        for extra in ([], ["--eq-as-h"]):
-            assert main(["--fixture", "tiny_eq", "--variant", "pbalm",
-                         "--phase1", *extra]) == 0
-            runs.append(dict(part.split("=")
-                             for part in capsys.readouterr().out.split()))
-        as_g, as_h = runs
-        defaults = OuterConfig()
-        assert float(as_g["rho_max"]) == defaults.rho0
-        assert float(as_g["nu_max"]) > defaults.nu0
-        assert float(as_h["rho_max"]) > defaults.rho0
-        assert float(as_h["nu_max"]) == defaults.nu0
-        assert abs(float(as_g["f1_value"]) - float(as_h["f1_value"])) <= 1e-6
-
     def test_missing_file_exit_1(self, capsys):
         assert main(["--qps", "/nonexistent.qps", "--variant", "pbalm"]) == 1
         assert "error:" in capsys.readouterr().err

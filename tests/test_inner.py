@@ -144,6 +144,40 @@ class TestContract:
         assert res.iterations == 3
         assert res.residual > 1e-14
 
+    def test_max_iters_returns_the_best_prox_point(self):
+        """Out of iterations, the solve returns the start or the iterates'
+        prox point with the least f + f2, not its last iterate.  The prox
+        points it weighs are those it evaluates f at; the unit-step
+        residual's prox calls (step 1) are not among them."""
+        f2, prox = box_problem_terms(np.zeros(3), np.ones(3))
+        c = np.array([2.0, -1.0, 0.5])
+        D = np.array([1.0, 10.0, 100.0])
+        outputs, steps, valued = [], set(), set()
+
+        def value(x):
+            valued.add(x.tobytes())
+            return 0.5 * float((x - c) @ (D * (x - c)))
+
+        def recorded_prox(z, step):
+            out = prox(z, step)
+            outputs.append(out.copy())
+            steps.add(step)
+            return out
+
+        x0 = np.full(3, 0.9)
+        res = solve_subproblem(value, lambda x: D * (x - c), recorded_prox,
+                               x0, 1e-10, InnerConfig(max_iters=5),
+                               nonsmooth_value=f2)
+        assert (res.iterations, res.converged) == (5, False)
+        # No backtracking: every prox point f was evaluated at passed the
+        # descent test, so each was a candidate for the best.
+        assert len(steps - {1.0}) == 1
+        points = [x0] + [p for p in outputs if p.tobytes() in valued]
+        assert len(points) > 2
+        best = min(points, key=lambda p: value(p) + f2(p))
+        assert res.x.tobytes() == best.tobytes()
+        assert res.x.tobytes() != x0.tobytes()
+
     def test_monotone_objective_vs_start(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((5, 5))
@@ -469,3 +503,27 @@ def test_dense_solves_import_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["eps_kkt", "eps_kkt", "[]", "eps_kkt", "[]"]
+
+
+def test_no_module_imports_scipy():
+    """No module of the package has an ``import scipy...`` or ``from
+    scipy... import`` statement; the QPS kernels are loaded from their
+    extension file by importlib."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "pbalm"
+    modules = sorted(src.rglob("*.py"))
+    assert len(modules) >= 9
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []

@@ -339,6 +339,14 @@ class TestSelectReference:
         select_reference(counted, x, mult, pen, x0, prob.f1(x0), cfg)
         assert len(f1_args) == 1 and f1_args[0] is x
 
+    def test_resets_outside_the_domain_of_f2(self):
+        # f2(x) = inf: the augmented Lagrangian is not even evaluated.
+        prob = box_qp_1d()
+        x0 = np.array([0.5])
+        x_hat, reset = self._select(prob, np.array([1.5]), [], x0,
+                                    OuterConfig())
+        assert x_hat is x0 and reset is True
+
     def test_alm_never_resets(self):
         prob = simplex_qp()
         x0 = np.array([1.0, 1.0])
@@ -471,6 +479,16 @@ class TestRun:
         res = run(prob, np.array([1.0, 1.0]), cfg)
         assert res.status in (SolveStatus.MAX_OUTER_REACHED,
                               SolveStatus.INNER_FAILURE)
+
+    def test_unconverged_last_solve_is_inner_failure(self):
+        # One outer iteration whose one inner iteration cannot reach tau.
+        qp = make_random_eq_qp(10, 4, seed=0)
+        x0 = qp.feasible_point(np.random.default_rng(0))
+        cfg = tight_cfg(max_outer=1, inner=InnerConfig(max_iters=1))
+        res = run(qp_problem(qp), x0, cfg)
+        assert len(res.trace) == 1
+        assert not res.trace[0].inner_converged
+        assert res.status is SolveStatus.INNER_FAILURE
 
     def test_stop_when_override(self):
         prob = simplex_qp()

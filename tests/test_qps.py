@@ -37,6 +37,16 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+def to_csr(t):
+    """``t`` as a scipy.sparse CSR matrix, duplicate (row, col) entries
+    summed: the reference the assembled maps are checked against."""
+    r, c, v = zip(*t.entries) if t.entries else ((), (), ())
+    return sp.coo_matrix((np.array(v, dtype=float),
+                          (np.array(r, dtype=np.int64),
+                           np.array(c, dtype=np.int64))),
+                         shape=(t.nrows, t.ncols)).tocsr()
+
+
 class TestTinyEqFixture:
     def test_field_exact(self):
         qp = parse_qps_file(fixture("tiny_eq.qps"))
@@ -65,13 +75,6 @@ class TestTinyEqFixture:
         assert prob.m == 2
         x = np.array([1.5, 0.5])  # on the constraint
         np.testing.assert_allclose(prob.g(x), [0.0, 0.0], atol=1e-12)
-
-    def test_eq_as_h_flag(self):
-        qp = parse_qps_file(fixture("tiny_eq.qps"))
-        prob = qp_to_problem(qp, eq_as_h=True)
-        assert prob.p == 1
-        assert prob.m == 0
-        np.testing.assert_allclose(prob.h(np.array([0.5, 1.5])), [0.0], atol=1e-12)
 
 
 class TestTinyBoxFixture:
@@ -280,7 +283,7 @@ class TestFormatDetails:
     def test_sparse_triplets_sum_duplicates(self):
         t = SparseTriplets(nrows=2, ncols=2,
                            entries=[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0)])
-        m = t.to_csr()
+        m = to_csr(t)
         assert m[0, 0] == 3.0
         assert m[1, 1] == 5.0
 
@@ -415,12 +418,13 @@ class TestNumericFields:
     @pytest.mark.parametrize("section,pair", [
         ("QUADOBJ", ("X1        X1", "X1        X1")),
         ("QUADOBJ", ("X2        X1", "X1        X2")),
-        ("QMATRIX", ("X2        X1", "X1        X2"))],
-        ids=["quadobj-diagonal", "quadobj-mirrored", "qmatrix-pair"])
+        ("QMATRIX", ("X2        X1", "X2        X1"))],
+        ids=["quadobj-diagonal", "quadobj-mirrored", "qmatrix-repeated"])
     def test_quadratic_entries_summing_to_inf_rejected_at_the_line(
             self, section, pair):
         # Each finite, the two entries made Q = [(.., .., inf)], so f1(0)
-        # was NaN; QMATRIX's entry is the mean of (i, j) and (j, i).
+        # was NaN; QMATRIX's entry is the mean of (i, j) and (j, i), here
+        # of inf and 0.
         text = ("NAME T\nROWS\n N  OBJ\n"
                 "COLUMNS\n    X1        OBJ       1.0\n    X2        OBJ       1.0\n"
                 f"{section}\n    {pair[0]}        1e308\n"
@@ -428,6 +432,21 @@ class TestNumericFields:
         with pytest.raises(MalformedNumericFieldError) as info:
             parse_qps(text)
         assert info.value.line_no == 9
+
+    @pytest.mark.parametrize("lines,entry", [
+        (["X1        X1"], (0, 0, 1e308)),
+        (["X1        X2", "X2        X1"], (1, 0, 1e308))],
+        ids=["diagonal", "symmetric-pair"])
+    def test_qmatrix_mean_near_the_largest_float_is_kept(self, lines, entry):
+        # 0.5 * (Q_ij + Q_ji) overflowed above about 9e307 and raised
+        # MalformedNumericFieldError at the last line, though the mean is
+        # finite.
+        text = ("NAME T\nROWS\n N  OBJ\n"
+                "COLUMNS\n    X1        OBJ       1.0\n    X2        OBJ       1.0\n"
+                "QMATRIX\n"
+                + "".join(f"    {pair}        1e308\n" for pair in lines)
+                + "ENDATA\n")
+        assert parse_qps(text).Q.entries == [entry]
 
     def test_repeated_entries_summed_into_one(self):
         # The sum is checked as it runs, not each term's size: 1e308 -
@@ -520,17 +539,18 @@ def _pairs_and_zeros(t, lower, rng):
 
 
 class TestAssembly:
-    @pytest.mark.parametrize("eq_as_h", [False, True])
     @pytest.mark.parametrize("case", ["mixed", "no-eq", "no-lower", "no-rows",
                                       "pairs-and-zeros"])
-    def test_every_map_equals_its_product_form_bitwise(self, case, eq_as_h):
+    def test_every_map_equals_its_product_form_bitwise(self, case):
         """The maps call scipy's compiled CSR/CSC kernels directly (from
         the _sparsetools extension file, which this test pins) on CSR
         arrays built with numpy; each must equal its form with scipy's
         ``@`` on ``to_csr``'s matrices bit for bit.  g, one stacked
-        product, must equal the two-product form [A_up x - u; l - A_lo x].
-        The pairs-and-zeros case repeats (row, col) entries and stores
-        explicit zeros in both Q and A."""
+        product, must equal the two-product form [A_up x - u; l - A_lo x],
+        and J^T, from G = [A_up; -A_lo]'s two row blocks, must equal
+        A_up^T y_up - A_lo^T y_lo.  An equality row is both an upper and
+        a lower row, so there is no h.  The pairs-and-zeros case repeats
+        (row, col) entries and stores explicit zeros in both Q and A."""
         n = 30
         lower, upper = _row_bounds(case)
         qp = _random_qp(n, lower, upper)
@@ -538,41 +558,38 @@ class TestAssembly:
             rng = np.random.default_rng(2)
             qp.Q = _pairs_and_zeros(qp.Q, True, rng)
             qp.A = _pairs_and_zeros(qp.A, False, rng)
-        prob = qp_to_problem(qp, eq_as_h=eq_as_h)
-        Q_low = qp.Q.to_csr()
+        prob = qp_to_problem(qp)
+        Q_low = to_csr(qp.Q)
         Q = Q_low + Q_low.T - sp.diags(Q_low.diagonal())
-        A = qp.A.to_csr()
-        eq = (lower == upper) & eq_as_h
-        up = np.flatnonzero(np.isfinite(upper) & ~eq)
-        lo = np.flatnonzero(np.isfinite(lower) & ~eq)
-        eq = np.flatnonzero(eq)
-        assert (prob.p, prob.m) == (len(eq), len(up) + len(lo))
-        A_eq, A_up, A_lo = A[eq], A[up], A[lo]
+        A = to_csr(qp.A)
+        up = np.flatnonzero(np.isfinite(upper))
+        lo = np.flatnonzero(np.isfinite(lower))
+        assert (prob.p, prob.m) == (0, len(up) + len(lo))
+        A_up, A_lo = A[up], A[lo]
         rng = np.random.default_rng(1)
         for _ in range(200):
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
-            y = rng.standard_normal(prob.p)
             z = rng.standard_normal(prob.m)
             assert prob.f1(x) == (0.5 * float(x @ (Q @ x)) + float(qp.q @ x)
                                   + qp.c)
             assert np.array_equal(prob.grad_f1(x), Q @ x + qp.q)
-            assert np.array_equal(prob.h(x), A_eq @ x - lower[eq])
-            assert np.array_equal(prob.jac_h_transpose_apply(x, y),
-                                  A_eq.T @ y)
-            assert np.array_equal(
-                prob.g(x),
-                np.concatenate([A_up @ x - upper[up], lower[lo] - A_lo @ x]))
-            assert np.array_equal(
-                prob.jac_g_transpose_apply(x, z),
-                A_up.T @ z[:len(up)] - A_lo.T @ z[len(up):])
+            # Bytes, so that a zero's sign counts too.
+            assert prob.g(x).tobytes() == np.concatenate(
+                [A_up @ x - upper[up], lower[lo] - A_lo @ x]).tobytes()
+            assert prob.jac_g_transpose_apply(x, z).tobytes() == (
+                A_up.T @ z[:len(up)] - A_lo.T @ z[len(up):]).tobytes()
 
     @pytest.mark.parametrize("field,entry", [("A", (0, 30, 1.0)),
                                              ("A", (1, -1, 1.0)),
-                                             ("Q", (30, 0, 1.0))])
+                                             ("Q", (30, 0, 1.0)),
+                                             ("A", (24, 0, 1.0)),
+                                             ("A", (-1, 0, 1.0))])
     def test_entry_outside_the_matrix_raises(self, field, entry):
         # scipy's COO conversion raised ValueError here.  Read as a flat
-        # index, A's (0, 30) would be (1, 0) and (1, -1) would be (0, 29).
+        # index, A's (0, 30) would be (1, 0) and (1, -1) would be (0, 29);
+        # rows -1 and 24 lie outside A's 24 rows, from which G's are taken.
         qp = _random_qp(30, *_row_bounds("mixed"))
+        assert qp.m_rows == 24
         getattr(qp, field).entries.append(entry)
         with pytest.raises(ValueError):
             qp_to_problem(qp)
@@ -587,17 +604,16 @@ class TestAssembly:
         # The compiled kernel does not check lengths; each map must.
         n = 30
         lower, upper = _row_bounds(case)
-        prob = qp_to_problem(_random_qp(n, lower, upper), eq_as_h=True)
+        prob = qp_to_problem(_random_qp(n, lower, upper))
         x = np.ones(n)
         for bad in (np.ones(n - 1), np.ones(n + 1)):
-            for f in (prob.f1, prob.grad_f1, prob.h, prob.g):
+            for f in (prob.f1, prob.grad_f1, prob.g):
                 with pytest.raises(ValueError):
                     f(bad)
-        for jac, k in ((prob.jac_h_transpose_apply, prob.p),
-                       (prob.jac_g_transpose_apply, prob.m)):
-            for length in [k + 1] + [k - 1] * (k > 0):
-                with pytest.raises(ValueError):
-                    jac(x, np.ones(length))
+        m = prob.m
+        for length in [m + 1] + [m - 1] * (m > 0):
+            with pytest.raises(ValueError):
+                prob.jac_g_transpose_apply(x, np.ones(length))
 
 
 # max x1 over [0, 1] in the two OBJSENSE forms; the optimum is x1 = 1.
@@ -654,6 +670,13 @@ class TestObjsense:
         assert info.value.line_no == line
 
 
+# One column over an objective row and an L row (lines 1-6); each case
+# appends its sections from line 7 on.
+_HEAD = ("NAME T\nROWS\n N  OBJ\n L  R1\n"
+         "COLUMNS\n    X1        OBJ       1.0       R1        1.0\n")
+_PAIRS = "needs \\(row, value\\) pairs"
+
+
 class TestMalformedCorpus:
     CASES = [
         ("missing_endata.qps", MissingSectionError, 9),
@@ -701,3 +724,47 @@ class TestMalformedCorpus:
                 "NAME T\nROWS\n N  OBJ\n"
                 "COLUMNS\n    X1        NOSUCH    1.0\nENDATA\n"
             )
+
+    @pytest.mark.parametrize("text,exc,match,line", [
+        ("NAME T\nROWS\n N  OBJ\n L  R1\n"
+         "COLUMNS\n    X1        OBJ       1.0       R1\nENDATA\n",
+         QpsParseError, "COLUMNS entry " + _PAIRS, 6),
+        (_HEAD + "RHS\n    RHS       R1        4.0       OBJ\nENDATA\n",
+         QpsParseError, "RHS entry " + _PAIRS, 8),
+        (_HEAD + "RANGES\n    RNG       R1\nENDATA\n",
+         QpsParseError, "RANGES entry " + _PAIRS, 8),
+        ("NAME T\nROWS\n N  OBJ\n L  R1  R2\nENDATA\n",
+         QpsParseError, "ROWS entry needs a sense and a name", 4),
+        ("NAME T\nROWS\n N  OBJ\n L\nENDATA\n",
+         QpsParseError, "ROWS entry needs a sense and a name", 4),
+        (_HEAD + "RHS\n    RHS       NOSUCH    4.0\nENDATA\n",
+         UndeclaredRowOrColumnError, "undeclared row 'NOSUCH'", 8),
+        (_HEAD + "RANGES\n    RNG       NOSUCH    1.0\nENDATA\n",
+         UndeclaredRowOrColumnError, "undeclared row 'NOSUCH'", 8),
+        (_HEAD + "BOUNDS\n UP BND       X1\nENDATA\n",
+         QpsParseError, "BOUNDS entry is truncated", 8),
+        (_HEAD + "BOUNDS\n FR BND\nENDATA\n",
+         QpsParseError, "BOUNDS entry is truncated", 8),
+        (_HEAD + "BOUNDS\n XX BND       X1        1.0\nENDATA\n",
+         QpsParseError, "unsupported bound type 'XX'", 8),
+        (_HEAD + "QUADOBJ\n    X1        X1\nENDATA\n",
+         QpsParseError, "QUADOBJ entry needs two columns and a value", 8),
+        (_HEAD + "QMATRIX\n    X1        X1        1.0       2.0\nENDATA\n",
+         QpsParseError, "QMATRIX entry needs two columns and a value", 8),
+        (_HEAD + "QUADOBJ\n    X1        NOSUCH    1.0\nENDATA\n",
+         UndeclaredRowOrColumnError, "undeclared column 'NOSUCH'", 8),
+        (_HEAD + "QMATRIX\n    NOSUCH    X1        1.0\nENDATA\n",
+         UndeclaredRowOrColumnError, "undeclared column 'NOSUCH'", 8)],
+        ids=["columns-even-tokens", "rhs-even-tokens", "ranges-even-tokens",
+             "rows-three-fields", "rows-one-field", "rhs-undeclared-row",
+             "ranges-undeclared-row", "bounds-truncated-valued",
+             "bounds-truncated-free", "bounds-unsupported-type",
+             "quadobj-two-fields", "qmatrix-four-fields",
+             "quadobj-undeclared-column", "qmatrix-undeclared-column"])
+    def test_malformed_entry_rejected_at_its_line(self, text, exc, match,
+                                                  line):
+        # Each entry is reported by its own check, at its line.
+        with pytest.raises(exc, match=f"line {line}: {match}") as info:
+            parse_qps(text)
+        assert type(info.value) is exc
+        assert info.value.line_no == line
