@@ -1,5 +1,9 @@
 """Augmented Lagrangian evaluations, residuals and KKT certificates.
 
+The augmented Lagrangian's gradient is the Lagrangian gradient at the
+first-order multiplier estimates lam + rho h(x) and [mu + nu g(x)]_+, so
+``grad_lagrangian`` is the one place where Jh^T and Jg^T are applied.
+
 All functions here are stateless over immutable inputs.  Their callers
 guarantee the inputs: x is a float vector of length n, which ``outer.run``
 checks once on its start point and every iterate keeps, and the penalty
@@ -99,15 +103,11 @@ def eval_pal(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
 
 def grad_al(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
             rho: float, nu: float) -> np.ndarray:
-    """Gradient of eval_al in x: grad f1 + Jh^T(lam + rho h) + Jg^T [nu g + mu]_+."""
-    grad = prob.grad_f1(x).astype(float, copy=True)
-    if prob.p:
-        h_x = prob.h(x)
-        grad += prob.jac_h_transpose_apply(x, mult.lam + rho * h_x)
-    if prob.m:
-        shifted = np.maximum(0.0, nu * prob.g(x) + mult.mu)
-        grad += prob.jac_g_transpose_apply(x, shifted)
-    return grad
+    """Gradient of eval_al in x: the Lagrangian gradient at the first-order
+    estimates lam + rho h(x) and [nu g(x) + mu]_+."""
+    lam = mult.lam + rho * prob.h(x) if prob.p else mult.lam
+    mu = np.maximum(0.0, nu * prob.g(x) + mult.mu) if prob.m else mult.mu
+    return grad_lagrangian(prob, x, Multipliers(lam, mu))
 
 
 def grad_pal(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,

@@ -201,8 +201,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if delta is None:
         delta = 1e-6 if args.basis_pursuit else 1.0
 
-    # Solve every variant before writing any trace, so an error exits 1
-    # with no file written.
+    # Solve every variant before writing any trace, so a failed solve exits
+    # 1 with no file written; a failed write exits 1 as well.
     outputs = []
     try:
         prob, x0 = _build_problem(args, args.seed)
@@ -212,38 +212,34 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.phase1:
                 start = find_feasible(prob, x0, tol=FEAS_TOL, cfg=cfg)
             outputs.append(_solve_one(prob, start, cfg, args, v))
-    except (OSError, Phase1Failed, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
-    for (result, summary), variant_name in zip(outputs, args.variant):
-        if args.out and args.out != "-":
-            out_path = args.out
-            if len(args.variant) > 1:
-                root, ext = os.path.splitext(args.out)
-                out_path = f"{root}.{variant_name}{ext}"
-            config_dict = {
-                "variant": variant_name,
-                "alpha": args.alpha,
-                "xi": args.xi,
-                "delta": delta,
-                **{name: getattr(args, name) for name in SETTINGS},
-                "seed": args.seed,
-                "source": (args.qps or args.fixture
-                           or args.basis_pursuit[0]),
-            }
-            try:
+        for (result, summary), variant_name in zip(outputs, args.variant):
+            if args.out and args.out != "-":
+                out_path = args.out
+                if len(args.variant) > 1:
+                    root, ext = os.path.splitext(args.out)
+                    out_path = f"{root}.{variant_name}{ext}"
+                config_dict = {
+                    "variant": variant_name,
+                    "alpha": args.alpha,
+                    "xi": args.xi,
+                    "delta": delta,
+                    **{name: getattr(args, name) for name in SETTINGS},
+                    "seed": args.seed,
+                    "source": (args.qps or args.fixture
+                               or args.basis_pursuit[0]),
+                }
                 with open(out_path, "w", newline="") as fh:
                     if args.format == "csv":
                         fh.write(trace_to_csv(result.trace))
                     else:
                         fh.write(trace_to_json(result.trace, config_dict, summary))
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        parts = [f"{key}={_fmt(val) if isinstance(val, float) else val}"
-                 for key, val in summary.items()]
-        print(" ".join(parts))
+            parts = [f"{key}={_fmt(val) if isinstance(val, float) else val}"
+                     for key, val in summary.items()]
+            print(" ".join(parts))
+    except (OSError, Phase1Failed, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if all(r.status is SolveStatus.EPS_KKT for r, _ in outputs) else 2
 
 

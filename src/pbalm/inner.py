@@ -274,11 +274,12 @@ def solve_subproblem(
                 if not r.any():
                     # A rounded fixed point: x = T(x), the memory rejects
                     # s = 0, so every later iteration repeats this one.
-                    return result(best_x, best_f, grad(best_x))
+                    break
             cbar, rc, f2c = forward_backward(cand, gc)
 
         mem.push(cand - x, rc - r)
         x, fx, g, xbar, r, f2bar = cand, fc, gc, cbar, rc, f2c
 
-    # Out of iterations: the best feasible iterate seen, certified afresh.
+    # Out of iterations, or stuck at a rounded fixed point: the best
+    # feasible iterate seen, certified afresh.
     return result(best_x, best_f, grad(best_x))

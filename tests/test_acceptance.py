@@ -405,7 +405,7 @@ class TestCriterion7QpsParser:
         assert box.Q.entries == [(0, 0, 2.0), (1, 0, 1.0), (1, 1, 2.0),
                                  (2, 1, 1.0), (2, 2, 2.0)]
         np.testing.assert_array_equal(box.q, [-1.0, -2.0, 1.0])
-        assert box.c == 3.0
+        assert box.c == 3.0  # RHS on the objective row is negated
         assert box.A.entries == [(0, 0, 1.0), (1, 0, 1.0), (0, 1, 2.0),
                                  (0, 2, 1.0), (1, 2, 1.0)]
         np.testing.assert_array_equal(box.row_lower, [-np.inf, 0.5])

@@ -161,6 +161,24 @@ class TestRuns:
         assert main(["--qps", str(bad), "--variant", "pbalm"]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_out_in_missing_directory_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        assert main(["--basis-pursuit", "p=20,n=50,k=5", "--seed", "0",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "No such file" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_solve_writes_no_trace(self, tmp_path, capsys):
+        # pbalm solves, then alm's xi = 1 is rejected: no file is written.
+        assert main(["--basis-pursuit", "p=20,n=50,k=5", "--seed", "0",
+                     "--variant", "pbalm,alm", "--xi", "1",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert "xi1 > 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_writes_trace_exit_2(self, tmp_path,
                                                    monkeypatch, capsys):
         monkeypatch.setattr(cli, "_build_problem",

@@ -178,6 +178,45 @@ class TestContract:
         assert res.x.tobytes() == best.tobytes()
         assert res.x.tobytes() != x0.tobytes()
 
+    def test_envelope_search_demands_sufficient_decrease(self):
+        """A quasi-Newton candidate that lowers the envelope by less than
+        sigma ||r||^2 / (2 gamma) is rejected, and the search halves tau.
+
+        f(z) = z^2/2 + B bump(z/w), with the bump supported on |z| < w.
+        From x0 = 1 the probe sees curvature 1, so gamma = 0.95, and the
+        first step goes to x1 = 0.05, outside the bump.  The secant pair
+        from x0 to x1 sends the first candidate of iteration 2 to 0, the
+        minimizer of z^2/2, where B puts the envelope f - gamma f'^2/2
+        below its value at x1 by half of sigma ||r||^2 / (2 gamma)."""
+        w, gamma, sigma = 1e-3, 0.95, 1e-4
+        x1 = 1.0 - gamma
+
+        def envelope(z, bump):
+            return 0.5 * z * z - 0.5 * gamma * z * z + bump
+
+        required = sigma * (gamma * x1) ** 2 / (2.0 * gamma)
+        B = envelope(x1, 0.0) - 0.5 * required
+
+        def value(x):
+            valued.append(float(x[0]))
+            t = x[0] / w
+            return 0.5 * x[0] ** 2 + (B * (1 - t * t) ** 3 if abs(t) < 1 else 0.0)
+
+        def grad(x):
+            t = x[0] / w
+            bump = -6.0 * B * t * (1 - t * t) ** 2 / w if abs(t) < 1 else 0.0
+            return np.array([x[0] + bump])
+
+        valued = []
+        solve_subproblem(value, grad, identity_prox, np.ones(1), 1e-12,
+                         InnerConfig(max_iters=2))
+        decrease = envelope(x1, 0.0) - envelope(0.0, B)
+        assert 0 < decrease < required
+        # x0, x1, then iteration 2: its prox point x1 - gamma x1, the
+        # rejected candidate at tau = 1 and the one at tau = 1/2.
+        assert valued == pytest.approx([1.0, x1, x1 * (1 - gamma), 0.0,
+                                        0.5 * x1 * (1 - gamma)], abs=1e-9)
+
     def test_monotone_objective_vs_start(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((5, 5))

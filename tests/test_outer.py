@@ -100,6 +100,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             OuterConfig(**settings)
 
+    def test_unknown_multiplier_init_rejected(self):
+        with pytest.raises(ValueError, match="multiplier_init"):
+            OuterConfig(multiplier_init="ones")
+
     def test_field_names(self):
         """Every setting is listed here, so adding one changes this test."""
         assert [f.name for f in dataclasses.fields(OuterConfig)] == [

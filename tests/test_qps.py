@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import warnings
@@ -48,20 +49,6 @@ def to_csr(t):
 
 
 class TestTinyEqFixture:
-    def test_field_exact(self):
-        qp = parse_qps_file(fixture("tiny_eq.qps"))
-        assert qp.name == "TINYEQ"
-        assert qp.n == 2
-        assert qp.m_rows == 1
-        assert qp.Q.entries == [(0, 0, 2.0), (1, 1, 2.0)]
-        np.testing.assert_array_equal(qp.q, [0.0, 0.0])
-        assert qp.c == 0.0
-        assert qp.A.entries == [(0, 0, 1.0), (0, 1, 1.0)]
-        np.testing.assert_array_equal(qp.row_lower, [2.0])
-        np.testing.assert_array_equal(qp.row_upper, [2.0])
-        np.testing.assert_array_equal(qp.var_lower, [-INF, -INF])
-        np.testing.assert_array_equal(qp.var_upper, [INF, INF])
-
     def test_round_trip_objective(self):
         qp = parse_qps_file(fixture("tiny_eq.qps"))
         prob = qp_to_problem(qp)
@@ -78,24 +65,6 @@ class TestTinyEqFixture:
 
 
 class TestTinyBoxFixture:
-    def test_field_exact(self):
-        qp = parse_qps_file(fixture("tiny_box.qps"))
-        assert qp.name == "TINYBOX"
-        assert qp.n == 3
-        assert qp.m_rows == 2
-        assert qp.Q.entries == [
-            (0, 0, 2.0), (1, 0, 1.0), (1, 1, 2.0), (2, 1, 1.0), (2, 2, 2.0),
-        ]
-        np.testing.assert_array_equal(qp.q, [-1.0, -2.0, 1.0])
-        assert qp.c == 3.0  # RHS on the objective row is negated
-        assert qp.A.entries == [
-            (0, 0, 1.0), (1, 0, 1.0), (0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0),
-        ]
-        np.testing.assert_array_equal(qp.row_lower, [-INF, 0.5])
-        np.testing.assert_array_equal(qp.row_upper, [4.0, INF])
-        np.testing.assert_array_equal(qp.var_lower, [0.0, 0.1, 0.0])
-        np.testing.assert_array_equal(qp.var_upper, [1.0, 0.9, 2.0])
-
     def test_round_trip_objective(self):
         qp = parse_qps_file(fixture("tiny_box.qps"))
         prob = qp_to_problem(qp)
@@ -239,6 +208,23 @@ class TestFormatDetails:
         )
         assert qp.n == 1
         np.testing.assert_array_equal(qp.row_lower, [2.0])
+
+    def test_integer_markers_ignored(self):
+        body = ("    X1        OBJ       1.0       R1        1.0\n"
+                "    X2        R1        2.0\n")
+        markers = ("    M1        'MARKER'                 'INTORG'\n"
+                   + body + "    M2        'MARKER'                 'INTEND'\n")
+        texts = ["NAME T\nROWS\n N  OBJ\n L  R1\nCOLUMNS\n" + cols
+                 + "RHS\n    RHS       R1        4.0\nENDATA\n"
+                 for cols in (markers, body)]
+        marked, plain = (parse_qps(t) for t in texts)
+        assert marked.n == 2
+        for f in dataclasses.fields(plain):
+            a, b = getattr(marked, f.name), getattr(plain, f.name)
+            if isinstance(b, np.ndarray):
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert a == b, f.name
 
     def test_free_row_contributes_nothing(self):
         qp = parse_qps(
@@ -598,6 +584,18 @@ class TestAssembly:
         with pytest.raises(ImportError, match="no _sparsetools extension in "
                            + re.escape(str(tmp_path))):
             qps._load_sparsetools(str(tmp_path))
+
+    def test_assembly_without_scipy_names_it(self, monkeypatch):
+        find_spec = qps.importlib.util.find_spec
+        monkeypatch.setattr(
+            qps.importlib.util, "find_spec",
+            lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+        qps._kernels.cache_clear()
+        try:
+            with pytest.raises(ImportError, match="needs scipy"):
+                qp_to_problem(parse_qps_file(fixture("tiny_box.qps")))
+        finally:
+            qps._kernels.cache_clear()
 
     @pytest.mark.parametrize("case", ["mixed", "no-eq", "no-lower", "no-rows"])
     def test_wrong_length_raises(self, case):
