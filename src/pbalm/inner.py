@@ -217,17 +217,19 @@ def solve_subproblem(
     mem = _LbfgsMemory(cfg.memory, x.size)
     best_obj = fx + nonsmooth_value(x)
     xbar, r, f2bar = forward_backward(x, g)
+    rsq, gr = float(r.dot(r)), float(g.dot(r))
 
     for iterations in range(1, cfg.max_iters + 1):
         # Backtrack gamma until the quadratic upper bound holds at the prox
         # point carried from the last iteration.  The slack only absorbs the
         # rounding of fx and fbar: the envelope line search needs the bound
         # itself, and a looser test lets too long a step through unnoticed.
+        # r.r and g.r come from the last iteration, or after a halving of
+        # gamma from the new prox point.
         slack = _ROUNDING * (1.0 + abs(fx))
         while True:
-            rsq = float(r.dot(r))
             fbar = finite(float(smooth_value(xbar)))
-            ub = fx - float(g.dot(r)) + rsq / (2.0 * gamma)
+            ub = fx - gr + rsq / (2.0 * gamma)
             if fbar <= ub + slack:
                 break
             if gamma <= gamma_min:
@@ -237,6 +239,7 @@ def solve_subproblem(
             gamma *= 0.5
             mem.reset()
             xbar, r, f2bar = forward_backward(x, g)
+            rsq, gr = float(r.dot(r)), float(g.dot(r))
 
         obj_bar = fbar + f2bar
         if obj_bar < best_obj:
@@ -259,8 +262,8 @@ def solve_subproblem(
                 if math.isfinite(fc):
                     gc = grad(cand)
                     cbar, rc, f2c = forward_backward(cand, gc)
-                    fbe_c = (fc - float(gc.dot(rc))
-                             + float(rc.dot(rc)) / (2.0 * gamma) + f2c)
+                    rcsq, gcr = float(rc.dot(rc)), float(gc.dot(rc))
+                    fbe_c = fc - gcr + rcsq / (2.0 * gamma) + f2c
                     if fbe_c <= fbe - sigma * rsq / (2.0 * gamma):
                         accepted = True
                         break
@@ -276,9 +279,11 @@ def solve_subproblem(
                     # s = 0, so every later iteration repeats this one.
                     break
             cbar, rc, f2c = forward_backward(cand, gc)
+            rcsq, gcr = float(rc.dot(rc)), float(gc.dot(rc))
 
         mem.push(cand - x, rc - r)
         x, fx, g, xbar, r, f2bar = cand, fc, gc, cbar, rc, f2c
+        rsq, gr = rcsq, gcr
 
     # Out of iterations, or stuck at a rounded fixed point: the best
     # feasible iterate seen, certified afresh.

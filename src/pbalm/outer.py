@@ -30,6 +30,7 @@ from .auglag import (
     KktReport,
     Multipliers,
     PenaltyState,
+    Subproblem,
     compute_E,
     eval_al,
     eval_pal,
@@ -205,21 +206,21 @@ def al_bound(x0: np.ndarray, center: np.ndarray, f_x0: float, gamma: float,
     return f_x0 + float(d.dot(d)) / (2.0 * gamma)
 
 
-def select_reference(prob: ProblemSpec, x: np.ndarray, mult: Multipliers,
-                     pen: PenaltyState, x0: np.ndarray, f_x0: float,
-                     cfg: OuterConfig) -> Tuple[np.ndarray, bool]:
-    """Reference-point test: (x, False) while the augmented Lagrangian at
-    the current iterate x stays below the bound anchored at the feasible
-    x0, whose objective value is f_x0; otherwise the reset (x0, True).
+def select_reference(sub: Subproblem, x: np.ndarray, x0: np.ndarray,
+                     f_x0: float, cfg: OuterConfig) -> Tuple[np.ndarray, bool]:
+    """Reference-point test: (x, False) while the augmented Lagrangian of
+    the subproblem ``sub`` at the current iterate x stays below the bound
+    anchored at the feasible x0, whose objective value is f_x0; otherwise
+    the reset (x0, True).
     """
     if cfg.variant is Variant.ALM:
         return x, False
-    f2_x = prob.f2_value(x)
+    f2_x = sub.prob.f2_value(x)
     if not np.isfinite(f2_x):
         return x0, True
     # The proximal term centered at x itself is exactly 0.
-    lhs = eval_al(prob, x, mult, pen.rho, pen.nu) + f2_x
-    rhs = al_bound(x0, x, f_x0, pen.gamma, cfg.variant is Variant.PBALM)
+    lhs = eval_al(sub, x) + f2_x
+    rhs = al_bound(x0, x, f_x0, sub.pen.gamma, cfg.variant is Variant.PBALM)
     return (x, False) if lhs <= rhs else (x0, True)
 
 
@@ -325,8 +326,12 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
     ``f1``, ``f2``, ``h`` and ``g`` are evaluated once per point: the run
     remembers the last point each was called on and reuses the result
-    when the same array comes back.  The solver never changes an evaluated
-    point in place, and ``stop_when`` must not modify ``x`` either.
+    when the same array comes back.  Each outer iteration builds one
+    ``auglag.Subproblem``, shared by the reference test and the inner
+    solve: it computes (1/2nu)||mu||^2 once, and the estimate
+    [nu g(x) + mu]_+ once per point, for a value and a gradient there.
+    The solver never changes an evaluated point in place, and
+    ``stop_when`` must not modify ``x`` either.
 
     The exit KKT report reuses the h, g and Lagrangian-gradient residual
     that certify the last iterate, or the start when no row was written.
@@ -371,15 +376,16 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
     for k in range(cfg.max_outer):
         tau_k = cfg.tau_schedule(k)
         # 1. Reference point.
-        x_hat, reset = select_reference(prob, x, mult, pen, x0, f_x0, cfg)
+        sub = Subproblem(prob, mult, pen)
+        x_hat, reset = select_reference(sub, x, x0, f_x0, cfg)
 
         # 2. Subproblem, warm-started at the reference.
         if proximal:
-            smooth_value = lambda z: eval_pal(prob, z, mult, pen, x_hat)
-            smooth_grad = lambda z: grad_pal(prob, z, mult, pen, x_hat)
+            smooth_value = lambda z: eval_pal(sub, z, x_hat)
+            smooth_grad = lambda z: grad_pal(sub, z, x_hat)
         else:
-            smooth_value = lambda z: eval_al(prob, z, mult, pen.rho, pen.nu)
-            smooth_grad = lambda z: grad_al(prob, z, mult, pen.rho, pen.nu)
+            smooth_value = lambda z: eval_al(sub, z)
+            smooth_grad = lambda z: grad_al(sub, z)
         try:
             res = solve_subproblem(smooth_value, smooth_grad, prob.prox_f2,
                                    x_hat, tau_k, cfg.inner,

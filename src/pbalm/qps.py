@@ -564,7 +564,9 @@ def qp_to_problem(qp: QpData) -> ProblemSpec:
         return Q_full(x) + q
 
     def g(x):
-        return G(x) + c_g
+        out = G(x)
+        out += c_g
+        return out
 
     def jac_g_T(x, y):
         return G_up_T(y[:n_up]) + G_lo_T(y[n_up:])

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from pbalm.auglag import Multipliers, PenaltyState, eval_pal, eval_pal_completed_square
+from pbalm.auglag import (Multipliers, PenaltyState, Subproblem, eval_pal,
+                          eval_pal_completed_square)
 from pbalm.cli import main as cli_main
 from pbalm.outer import GrowthFn, OuterConfig, SolveStatus, Variant, run
 from pbalm.phase1 import Phase1Failed, find_feasible
@@ -310,7 +311,7 @@ class TestCriterion4ExactIdentities:
                 nu=float(10.0 ** rng.uniform(-3, 3)),
                 gamma=float(10.0 ** rng.uniform(-2, 1)),
             )
-            a = eval_pal(prob, x, mult, pen, v)
+            a = eval_pal(Subproblem(prob, mult, pen), x, v)
             b = eval_pal_completed_square(prob, x, mult, pen, v)
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
         print("criterion 4: PASS")

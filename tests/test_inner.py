@@ -294,6 +294,41 @@ class TestContract:
         assert res.converged and res.iterations == 3
         np.testing.assert_allclose(prox_points[1], [0.05, 0.05], rtol=1e-6)
 
+    def test_backtracking_after_an_accepted_step_uses_the_new_prox_point(self):
+        # f = (x1^2 + 2.5 x2^2)/2 from (4, 0.01): the probe along -g sees
+        # curvature about 1, iteration 1 takes the prox-gradient step,
+        # iteration 2 accepts its first L-BFGS candidate, and iteration 3
+        # halves gamma twice at that candidate.  After a halving the upper
+        # bound needs r.r and g.r of the new prox point; with the ones
+        # carried from the accepted candidate it reads f(x), and the first
+        # halving would pass.
+        H = np.array([1.0, 2.5])
+        seen = []
+
+        def value(x):
+            seen.append(x.copy())
+            return 0.5 * float((H * x).dot(x))
+
+        res = solve_subproblem(value, lambda x: H * x, identity_prox,
+                               np.array([4.0, 0.01]), 1e-8, InnerConfig())
+        assert res.converged and (res.iterations, res.grad_evals) == (7, 9)
+        assert len(seen) == 14
+        np.testing.assert_allclose(seen[:7], [
+            [4.0, 0.01],
+            [0.2003895731179104, -0.01374756516801306],    # iteration 1
+            [0.010038995253594585, 0.018899554804876595],  # 2: prox point
+            [-0.0003514080491733296, 0.022490115147093204],  # 2: accepted
+            [-1.7604627241010274e-05, -0.030918432362078148],  # 3: gamma
+            [-0.00018450633820716992, -0.004214158607492472],  # gamma/2
+            [-0.00026795719369024975, 0.009137978269800366],  # gamma/4
+        ], rtol=1e-9)
+        # The three prox points of iteration 3 step from one x by gamma g,
+        # gamma g / 2 and gamma g / 4.
+        x, steps = seen[3], [p - seen[3] for p in seen[4:7]]
+        np.testing.assert_allclose(steps[1], steps[0] / 2, rtol=1e-9)
+        np.testing.assert_allclose(steps[2], steps[0] / 4, rtol=1e-9)
+        assert np.all(np.sign(steps[0]) == -np.sign(H * x))
+
     def test_grad_evals_exact_count(self):
         calls = [0]
         a = np.array([1.0, 1.0])

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pbalm import outer
-from pbalm.auglag import Multipliers, PenaltyState
+from pbalm import outer, phase1
+from pbalm.auglag import Multipliers, PenaltyState, Subproblem
 from pbalm.cli import fixture_path
 from pbalm.inner import InnerConfig
 from pbalm.outer import (
@@ -299,7 +299,7 @@ class TestSelectReference:
     def _select(self, prob, x, lam, x0, cfg, gamma=0.1):
         mult = Multipliers(np.asarray(lam, dtype=float), np.zeros(prob.m))
         pen = PenaltyState(rho=1e-3, nu=1e-3, gamma=gamma)
-        return select_reference(prob, x, mult, pen, x0,
+        return select_reference(Subproblem(prob, mult, pen), x, x0,
                                 eval_objective(prob, x0), cfg)
 
     def test_keeps_iterate_at_start(self):
@@ -340,7 +340,8 @@ class TestSelectReference:
         cfg = OuterConfig()
         mult = Multipliers(np.zeros(1), np.zeros(0))
         pen = PenaltyState(rho=1e-3, nu=1e-3, gamma=0.1)
-        select_reference(counted, x, mult, pen, x0, prob.f1(x0), cfg)
+        select_reference(Subproblem(counted, mult, pen), x, x0, prob.f1(x0),
+                         cfg)
         assert len(f1_args) == 1 and f1_args[0] is x
 
     def test_resets_outside_the_domain_of_f2(self):
@@ -560,6 +561,28 @@ class TestOneEvaluationPerPoint:
         assert res.status is SolveStatus.EPS_KKT
         assert calls["g"] <= 1.25 * res.trace[-1].inner_grad_evals
 
+    def test_tiny_box_g_calls_pinned(self, monkeypatch):
+        # The inequality path, phase-I then P-BALM: every call of the
+        # problem's g against the inner gradients of each solve.  A
+        # last-point cache that stops hitting raises the g count.
+        prob, calls = counting(
+            qp_to_problem(parse_qps_file(fixture_path("tiny_box"))))
+        runs = []
+
+        def recording_run(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(phase1, "run", recording_run)
+        cfg = OuterConfig()
+        x_feas = find_feasible(prob, prob.prox_f2(np.zeros(prob.n), 1.0),
+                               FEAS_TOL, cfg)
+        assert (calls["g"], runs[0].grad_evals) == (20, 10)
+        calls["g"] = 0
+        res = run(prob, x_feas, cfg)
+        assert res.status is SolveStatus.EPS_KKT
+        assert (calls["g"], res.grad_evals) == (89, 83)
+
     @each_variant
     def test_start_checked_once(self, settings, monkeypatch):
         # run checks x0's shape once, and its feasibility check and f(x0)
@@ -729,9 +752,9 @@ class TestCertificate:
         # The next reference test keeps that iterate, which is no reset.
         real_select, flags = outer.select_reference, []
 
-        def reset_first(prob, x, mult, pen, x0, f_x0, cfg):
+        def reset_first(sub, x, x0, f_x0, cfg):
             out = (x0, True) if not flags else real_select(
-                prob, x, mult, pen, x0, f_x0, cfg)
+                sub, x, x0, f_x0, cfg)
             flags.append(out[1])
             return out
 

@@ -66,13 +66,19 @@ def parse_args(argv):
     for side in SIDES:
         if not (getattr(args, side) / "bench" / "run.py").is_file():
             p.error(f"no bench/run.py in {getattr(args, side)}")
+    resolve_commits(p, args)
+    return args
+
+
+def resolve_commits(p: argparse.ArgumentParser, args) -> None:
+    """Fill ``args.commits`` from the two checkouts unless ``--commits``
+    gave it; a checkout that names no commit of its own stops the tool."""
     if args.commits is None:
         args.commits = [commit(getattr(args, side)) for side in SIDES]
         for side, sha in zip(SIDES, args.commits):
             if sha is None:
                 p.error(f"{getattr(args, side)} is not a git work tree; "
                         "name the commits with --commits")
-    return args
 
 
 def env() -> dict:
@@ -113,6 +119,15 @@ def op_digest(checkout: Path):
     out = subprocess.run([sys.executable, "tools/op_digest.py"], cwd=checkout,
                          env=env(), capture_output=True, check=True)
     return hashlib.sha256(out.stdout).hexdigest(), len(out.stdout.splitlines())
+
+
+def machine() -> str:
+    import scipy
+
+    return (f"{os.cpu_count()}-CPU {platform.machine()} {platform.system()}, "
+            f"Python {platform.python_version()}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}, BLAS at 1 thread; no CPU pinning, "
+            "no frequency control, load of other processes not controlled")
 
 
 def summary(runs: list) -> dict:
@@ -161,8 +176,6 @@ def compare(args, workload: str) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    import scipy
-
     record = {
         "change": args.note,
         "parent_commit": args.commits[0],
@@ -173,11 +186,7 @@ def main(argv=None) -> int:
                   "that runs first switching each pair (odd pair numbers: "
                   "parent first); quartiles by linear interpolation "
                   "(numpy.percentile 25/50/75)",
-        "machine": f"{os.cpu_count()}-CPU {platform.machine()} "
-                   f"{platform.system()}, Python {platform.python_version()}, "
-                   f"numpy {np.__version__}, scipy {scipy.__version__}, BLAS "
-                   "at 1 thread; no CPU pinning, no frequency control, load "
-                   "of other processes not controlled",
+        "machine": machine(),
     }
     if args.claim:
         metric, workload, target = args.claim
