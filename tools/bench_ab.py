@@ -37,10 +37,9 @@ from time import process_time
 
 import numpy as np
 
+from bench_pairs import SIDES, WORKLOADS, env, machine, resolve_commits, summary
+
 TOOLS = Path(__file__).resolve().parent
-sys.path.insert(0, str(TOOLS))
-from bench_pairs import (SIDES, WORKLOADS, env, machine,  # noqa: E402
-                         resolve_commits, summary)
 
 
 def parse_args(argv):
