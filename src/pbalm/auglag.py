@@ -6,7 +6,8 @@ first-order multiplier estimates lam + rho h(x) and [mu + nu g(x)]_+, so
 
 The subproblem evaluators ``eval_al``, ``eval_pal``, ``grad_al`` and
 ``grad_pal`` take a ``Subproblem``, which computes its constant once and
-each point's estimate [nu g(x) + mu]_+ once.  Everything else here, the
+each point's estimate [nu g(x) + mu]_+ once, under the contract of
+``problem.last_point``.  Everything else here, the
 cross-checks ``grad_lagrangian`` and ``eval_pal_completed_square``
 included, is stateless over immutable inputs.  Callers guarantee the
 inputs: x is a float vector of length n, which ``outer.run`` checks once
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import ProblemSpec, last_point
 
 
 def inf_norm(v: np.ndarray) -> float:
@@ -81,24 +82,16 @@ class Subproblem:
     """The data one outer iteration fixes: the problem, the multipliers
     and the penalties, with (1/2nu)||mu||^2 computed once.
 
-    It also holds the first-order estimate [nu g(x) + mu]_+ at the last
-    point it was asked for, so a value and then a gradient at the same
-    array compute it once.  A point must not be modified in place after
-    it is evaluated, and the returned estimate must not be modified.
+    ``mu_estimate(x)`` is the first-order estimate [nu g(x) + mu]_+,
+    wrapped in ``problem.last_point`` so that a value and then a gradient
+    at the same point compute it once.
     """
 
     def __init__(self, prob: ProblemSpec, mult: Multipliers, pen: PenaltyState):
         self.prob, self.mult, self.pen = prob, mult, pen
         self.mu_sq = (mult.mu**2 / (2.0 * pen.nu)).sum()
-        self._at = self._mu_est = None
-
-    def mu_estimate(self, x: np.ndarray) -> np.ndarray:
-        """[nu g(x) + mu]_+, computed once per point."""
-        if x is not self._at:
-            self._at = x
-            self._mu_est = np.maximum(0.0, self.pen.nu * self.prob.g(x)
-                                      + self.mult.mu)
-        return self._mu_est
+        self.mu_estimate = last_point(
+            lambda x: np.maximum(0.0, pen.nu * prob.g(x) + mult.mu))
 
 
 def eval_al(sub: Subproblem, x: np.ndarray) -> float:

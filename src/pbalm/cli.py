@@ -82,10 +82,16 @@ def variant_list(text: str) -> List[str]:
 
 
 def basis_pursuit_dims(text: str) -> Tuple[str, Tuple[int, int, int]]:
-    """--basis-pursuit: 'p=..,n=..,k=..', returned as (text, (p, n, k))."""
+    """--basis-pursuit: 'p=..,n=..,k=..', each key once, returned as
+    (text, (p, n, k))."""
+    dims = {}
     try:
-        dims = {key.strip(): int(val)
-                for key, val in (part.split("=") for part in text.split(","))}
+        for part in text.split(","):
+            key, val = (field.strip() for field in part.split("="))
+            if key in dims or key not in ("p", "n", "k"):
+                raise argparse.ArgumentTypeError(
+                    f"repeated or unknown key {key!r}")
+            dims[key] = int(val)
         return text, (dims["p"], dims["n"], dims["k"])
     except (ValueError, KeyError):
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .auglag import (
     natural_residual,
 )
 from .inner import InnerConfig, NonFiniteValueError, solve_subproblem
-from .problem import ProblemSpec, check_feasible, eval_objective
+from .problem import ProblemSpec, check_feasible, eval_objective, last_point
 
 
 class InfeasibleStartError(ValueError):
@@ -300,38 +300,17 @@ def diagnose(prob: ProblemSpec, x: np.ndarray, x_hat: np.ndarray,
     )
 
 
-_Out = TypeVar("_Out")
-
-
-def _last_point(fn: Callable[[np.ndarray], _Out]
-                ) -> Callable[[np.ndarray], _Out]:
-    """``fn`` remembering its last argument and result: a repeated call
-    on the same array object returns the stored result."""
-    last_x, last_out = None, None
-
-    def cached(x: np.ndarray) -> _Out:
-        nonlocal last_x, last_out
-        if x is not last_x:
-            last_x, last_out = x, fn(x)
-        return last_out
-
-    return cached
-
-
 def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
         stop_when: Optional[Callable[[np.ndarray], bool]] = None) -> SolveResult:
     """Outer loop.  ``stop_when``, if given, replaces the default stopping
     rule max{||h||_inf, ||E||_inf} <= stop_tol (used by the phase-I driver,
     which terminates on feasibility of the base problem instead).
 
-    ``f1``, ``f2``, ``h`` and ``g`` are evaluated once per point: the run
-    remembers the last point each was called on and reuses the result
-    when the same array comes back.  Each outer iteration builds one
+    ``f1``, ``f2``, ``h`` and ``g`` are evaluated once per point through
+    ``problem.last_point``, whose contract the solver keeps and
+    ``stop_when`` must keep too.  Each outer iteration builds one
     ``auglag.Subproblem``, shared by the reference test and the inner
-    solve: it computes (1/2nu)||mu||^2 once, and the estimate
-    [nu g(x) + mu]_+ once per point, for a value and a gradient there.
-    The solver never changes an evaluated point in place, and
-    ``stop_when`` must not modify ``x`` either.
+    solve.
 
     The exit KKT report reuses the h, g and Lagrangian-gradient residual
     that certify the last iterate, or the start when no row was written.
@@ -342,9 +321,9 @@ def run(prob: ProblemSpec, x0: np.ndarray, cfg: OuterConfig,
 
     P-BALM and BALM raise InfeasibleStartError unless x0 is feasible
     within FEAS_TOL; ALM accepts any finite x0."""
-    prob = dataclasses.replace(prob, f1=_last_point(prob.f1),
-                               f2_value=_last_point(prob.f2_value),
-                               h=_last_point(prob.h), g=_last_point(prob.g))
+    prob = dataclasses.replace(prob, f1=last_point(prob.f1),
+                               f2_value=last_point(prob.f2_value),
+                               h=last_point(prob.h), g=last_point(prob.g))
     x = x0 = prob.check_x(x0).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point has non-finite entries")

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .outer import OuterConfig, Variant, _last_point, run
-from .problem import ProblemSpec, check_feasible
+from .outer import OuterConfig, Variant, run
+from .problem import ProblemSpec, check_feasible, last_point
 
 
 class Phase1Failed(RuntimeError):
@@ -25,10 +25,10 @@ class Phase1Spec:
 def build_phase1(base: ProblemSpec) -> Phase1Spec:
     """Lift the base problem: variable (x, s), objective ||h(x)||^2/2 + s^2,
     inequalities g(x) - s <= 0, no equalities, f2 inherited on x with s free.
-    f1 and grad_f1 share one h per lifted point, so do not modify it in place.
+    f1 and grad_f1 share one h per lifted point through ``last_point``.
     """
     n = base.n
-    h_at = _last_point(lambda z: base.h(z[:n]))
+    h_at = last_point(lambda z: base.h(z[:n]))
 
     def f1(z):
         s = z[n]

@@ -14,7 +14,7 @@ never materialize a dense matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -33,6 +33,27 @@ _Scalar = Callable[[np.ndarray], float]
 _Vector = Callable[[np.ndarray], np.ndarray]
 _Adjoint = Callable[[np.ndarray, np.ndarray], np.ndarray]
 _Prox = Callable[[np.ndarray, float], np.ndarray]
+_Out = TypeVar("_Out")  # the result type of a map that last_point wraps
+
+
+def last_point(fn: Callable[[np.ndarray], _Out]
+               ) -> Callable[[np.ndarray], _Out]:
+    """``fn`` remembering its last argument and result: a repeated call on
+    the same array object returns the stored result without calling ``fn``.
+
+    The cache is keyed on the array's identity, not its contents, so a
+    caller must not modify a point in place after it is evaluated, nor
+    modify the returned result.
+    """
+    last_x, last_out = None, None
+
+    def cached(x: np.ndarray) -> _Out:
+        nonlocal last_x, last_out
+        if x is not last_x:
+            last_x, last_out = x, fn(x)
+        return last_out
+
+    return cached
 
 
 def _zero_map(x: np.ndarray) -> np.ndarray:

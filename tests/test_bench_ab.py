@@ -1,5 +1,6 @@
 """tools/bench_ab.py: the ratio summary on made-up timings, its argument
-checks, and one round of each warm-up sized workload on one checkout."""
+checks, the order of set-ups and solves in a round, and one round of each
+warm-up sized workload on one checkout."""
 
 import os
 from pathlib import Path
@@ -49,3 +50,34 @@ def test_one_round_on_one_checkout(bench_ab, workload):
     assert rec["op_digest_identical"]
     assert rec["parent"]["failed"] == rec["change"]["failed"] == 0
     assert len(rec["ratio_change_over_parent"]["runs"]) == 1
+    assert len(rec["setup_ratio_change_over_parent"]["runs"]) == 1
+    assert rec["parent"]["setup_cpu_s"]["median"] > 0
+    assert rec["change"]["setup_cpu_s"]["median"] > 0
+
+
+def test_each_round_times_one_setup_per_side(bench_ab, monkeypatch):
+    # A stand-in worker logs what it is asked for; set-ups take 2 s on the
+    # parent and 1 s on the change, solves 1 s each.
+    log = []
+
+    class FakeWorker:
+        def __init__(self, checkout, workload, small):
+            self.side, self.names = checkout.name, ["a", "b"]
+
+        def run(self, i):
+            log.append((self.side, i))
+            slow = i == "setup" and self.side == "parent"
+            return {"s": 2.0 if slow else 1.0, "ok": True, "digest": "d"}
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(bench_ab, "Worker", FakeWorker)
+    rec = bench_ab.compare(Path("parent"), Path("change"), "qps-ineq",
+                           rounds=3)
+    setups = [side for side, i in log if i == "setup"]
+    assert setups == ["parent", "change", "change", "parent",
+                      "parent", "change"]
+    assert len(log) == 3 * (2 + 2 * 2)
+    assert rec["setup_ratio_change_over_parent"]["runs"] == [0.5] * 3
+    assert rec["ratio_change_over_parent"]["runs"] == [1.0] * 3

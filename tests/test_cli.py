@@ -48,11 +48,19 @@ class TestParser:
         assert "--variant" in capsys.readouterr().err
 
     def test_bad_bp_spec_rejected(self, capsys):
-        for spec in ("p=1,n=2", "p=1,n=2,k=x", "p=1;n=2;k=3", "p=1,n=2,k=3,"):
+        for spec in ("p=1,n=2", "p=1,n=2,k=x", "p=1;n=2;k=3", "p=1,n=2,k=3,",
+                     "p=20,n=50,k=5,seed=3", "p=20,p=30,n=50,k=5"):
             with pytest.raises(SystemExit) as exc:
                 main(["--basis-pursuit", spec, "--variant", "pbalm"])
             assert exc.value.code == 2, spec
             assert "--basis-pursuit" in capsys.readouterr().err, spec
+
+    def test_bad_bp_key_named(self, capsys):
+        for spec, key in (("p=20,n=50,k=5,seed=3", "seed"),
+                          ("p=20,p=30,n=50,k=5", "p")):
+            with pytest.raises(SystemExit):
+                main(["--basis-pursuit", spec, "--variant", "pbalm"])
+            assert f"unknown key {key!r}" in capsys.readouterr().err, spec
 
 
 # Each SETTINGS flag with a value unlike OuterConfig's default.

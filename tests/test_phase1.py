@@ -208,6 +208,6 @@ class TestSharedH:
 
     def test_point_unchanged_by_sharing(self, monkeypatch):
         x, _, _ = self._phase1(monkeypatch)
-        monkeypatch.setattr(phase1, "_last_point", lambda fn: fn)
+        monkeypatch.setattr(phase1, "last_point", lambda fn: fn)
         x_unshared, _, _ = self._phase1(monkeypatch)
         np.testing.assert_array_equal(x, x_unshared)

@@ -10,6 +10,7 @@ from pbalm.problem import (
     box_problem_terms,
     check_feasible,
     eval_objective,
+    last_point,
 )
 from pbalm.problem_gen import gen_basis_pursuit
 from conftest import fd_grad, quadratic_problem, ineq_problem, eq_qp_1d
@@ -77,6 +78,39 @@ class TestCheckFeasible:
     def test_nan_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             check_feasible(quadratic_problem(), np.zeros(2), tol=np.nan)
+
+
+class TestLastPoint:
+    """last_point keys its cache on the array object, not its contents."""
+
+    @staticmethod
+    def _counted():
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x.sum()
+
+        return last_point(fn), calls
+
+    def test_same_array_is_not_recomputed(self):
+        cached, calls = self._counted()
+        a = np.array([1.0, 2.0])
+        assert cached(a) == 3.0 and cached(a) == 3.0
+        assert len(calls) == 1
+
+    def test_equal_distinct_array_is_recomputed(self):
+        cached, calls = self._counted()
+        a = np.array([1.0, 2.0])
+        cached(a)
+        cached(a.copy())
+        assert len(calls) == 2
+
+    def test_only_the_last_point_is_kept(self):
+        cached, calls = self._counted()
+        a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        assert [cached(a), cached(b), cached(a)] == [3.0, 7.0, 3.0]
+        assert len(calls) == 3
 
 
 def prox_box(x, lower, upper):
